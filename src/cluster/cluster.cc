@@ -1,13 +1,14 @@
 #include "src/cluster/cluster.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <future>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "src/base/logging.h"
+#include "src/base/thread_pool.h"
 #include "src/mem/host_memory.h"
 
 namespace demeter {
@@ -31,6 +32,27 @@ uint64_t PagesFor(const VmSetup& setup) {
 // of the promise that must fit in the near tier.
 uint64_t FmemShareFor(const VmSetup& setup) {
   return static_cast<uint64_t>(static_cast<double>(PagesFor(setup)) * setup.vm.fmem_ratio);
+}
+
+// Runs `phase` once per host on `pool` and returns when every host is done.
+// All futures are waited on before any is read, so a host that throws never
+// unwinds the caller while another host is still stepping; get() then
+// rethrows the lowest-numbered failing host's exception. Each job holds its
+// own copy of `phase`, so no job refers to this frame.
+template <typename Phase>
+void ForEachHost(ThreadPool& pool, std::vector<std::unique_ptr<Machine>>& hosts,
+                 const Phase& phase) {
+  std::vector<std::future<void>> done;
+  done.reserve(hosts.size());
+  for (std::unique_ptr<Machine>& host : hosts) {
+    done.push_back(pool.Submit([phase, machine = host.get()] { phase(*machine); }));
+  }
+  for (std::future<void>& future : done) {
+    future.wait();
+  }
+  for (std::future<void>& future : done) {
+    future.get();
+  }
 }
 
 }  // namespace
@@ -551,9 +573,12 @@ void Cluster::Run() {
     ++assigned[static_cast<size_t>(h)];
   }
 
-  for (auto& host : hosts_) {
-    host->StartRun();
-  }
+  // Hosts step concurrently (the header's concurrency contract). The pool
+  // lives for the whole run, so a barrier costs a task hand-off per host,
+  // never a thread start-up.
+  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  ThreadPool pool(static_cast<int>(std::min(hosts_.size(), cores)));
+  ForEachHost(pool, hosts_, [](Machine& host) { host.StartRun(); });
 
   const Nanos epoch = setup_.epoch;
   Nanos t = 0;
@@ -581,18 +606,7 @@ void Cluster::Run() {
     t += epoch;
     ++barrier;
     barrier_ = barrier;
-    if (std::getenv("DEMETER_CLUSTER_DEBUG") != nullptr) {
-      int active = 0;
-      for (const auto& host : hosts_) {
-        active += host->NumActiveVms();
-      }
-      std::fprintf(stderr, "[cluster] barrier=%lld t=%llu active=%d inflight=%d pending=%zu\n",
-                   static_cast<long long>(barrier), static_cast<unsigned long long>(t), active,
-                   migrator_->inflight(), pending_.size());
-    }
-    for (auto& host : hosts_) {
-      host->StepUntil(t);
-    }
+    ForEachHost(pool, hosts_, [t](Machine& host) { host.StepUntil(t); });
     // Barrier control plane, fixed order: the failure detector runs first
     // (a fenced route must not be misread as a completion or cancel by
     // Advance), then finish/advance surviving migrations (freed capacity
@@ -636,9 +650,7 @@ void Cluster::Run() {
     }
   }
 
-  for (auto& host : hosts_) {
-    host->FinishRun();
-  }
+  ForEachHost(pool, hosts_, [](Machine& host) { host.FinishRun(); });
 }
 
 MetricSnapshot Cluster::SnapshotMetrics() const {
@@ -656,9 +668,17 @@ MetricSnapshot Cluster::SnapshotMetrics() const {
 }
 
 std::vector<TraceEvent> Cluster::TakeTrace() {
+  int stride = 0;
+  for (const auto& host : hosts_) {
+    stride = std::max(stride, host->num_vms());
+  }
   std::vector<TraceEvent> events;
-  for (auto& host : hosts_) {
-    std::vector<TraceEvent> part = host->TakeTrace();
+  for (size_t h = 0; h < hosts_.size(); ++h) {
+    std::vector<TraceEvent> part = hosts_[h]->TakeTrace();
+    const int base = static_cast<int>(h) * stride;
+    for (TraceEvent& event : part) {
+      event.pid += base;
+    }
     events.insert(events.end(), std::make_move_iterator(part.begin()),
                   std::make_move_iterator(part.end()));
   }

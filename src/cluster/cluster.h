@@ -10,6 +10,16 @@
 // (`seed + golden_ratio * h`), so the whole fleet is byte-reproducible:
 // --jobs=1 and --jobs=8 runs of a cluster spec are identical.
 //
+// Concurrency contract: Run() keeps one pool of min(hosts, cores) workers
+// for the whole run and hands it each host's StartRun, StepUntil(barrier)
+// and FinishRun, one job per host. Between barriers a host touches only its
+// own Machine (RNG, event queue, tiers, tracer, registry, per-host fault
+// injector). Everything that crosses hosts (the cluster-scoped injector,
+// the migrator, placement, the restart and retry queues, the audits) runs
+// on the calling thread at the barrier. Each phase waits for every host
+// before reading any result and rethrows host exceptions in host order, so
+// the output equals stepping the hosts one after another.
+//
 // The single-host cluster is the degenerate case and is *exactly* a bare
 // Machine: host 0 gets the cluster seed unchanged, every VM (deferred or
 // not) is handed straight to Machine::AddVm, no barrier control plane runs
@@ -106,7 +116,10 @@ class Cluster {
   // re-namespaced under "host<h>/" plus the "cluster/" roll-up.
   MetricSnapshot SnapshotMetrics() const;
 
-  // Trace events from every host, concatenated in host order.
+  // Trace events from every host, concatenated in host order. Host h's VM i
+  // carries pid h * S + i, where S is the largest num_vms() over all hosts
+  // (every VM slot a host ever held, migrated-out and killed ones included),
+  // so no two hosts share a pid. A single host keeps its VM ids as pids.
   std::vector<TraceEvent> TakeTrace();
 
   const LiveMigrator& migrator() const { return *migrator_; }

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "src/base/logging.h"
-#include "src/runner/thread_pool.h"
+#include "src/base/thread_pool.h"
 
 namespace demeter {
 

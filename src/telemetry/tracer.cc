@@ -1,6 +1,6 @@
 #include "src/telemetry/tracer.h"
 
-#include <map>
+#include <set>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -136,19 +136,17 @@ void Tracer::Clear() {
 std::string ChromeTraceJson(const std::vector<NamedTrace>& traces) {
   std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   bool first = true;
-  for (size_t t = 0; t < traces.size(); ++t) {
-    const NamedTrace& trace = traces[t];
+  int pid_base = 0;
+  for (const NamedTrace& trace : traces) {
     DEMETER_CHECK(trace.events != nullptr);
-    const int pid_base = static_cast<int>(t) * kTracePidStride;
 
     // Name every pid seen in this trace "<trace name>/vm<pid>" (sorted for
     // deterministic output).
-    std::map<int, bool> pids;
+    std::set<int> pids;
     for (const TraceEvent& event : *trace.events) {
-      pids.emplace(event.pid, true);
+      pids.insert(event.pid);
     }
-    for (const auto& [pid, unused] : pids) {
-      (void)unused;
+    for (int pid : pids) {
       if (!first) {
         out += ',';
       }
@@ -157,13 +155,14 @@ std::string ChromeTraceJson(const std::vector<NamedTrace>& traces) {
                         trace.name + "/vm" + std::to_string(pid));
     }
     for (const TraceEvent& event : *trace.events) {
-      DEMETER_CHECK_LT(event.pid, kTracePidStride) << "trace pid exceeds merge stride";
       if (!first) {
         out += ',';
       }
       first = false;
       AppendEvent(out, event, pid_base);
     }
+    const int max_pid = pids.empty() ? 0 : *pids.rbegin();
+    pid_base += (max_pid / kTracePidStride + 1) * kTracePidStride;
   }
   out += "]}";
   return out;

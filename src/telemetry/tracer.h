@@ -5,9 +5,10 @@
 // {"traceEvents":[...]}).
 //
 // The tracer is an observer only: whether it is enabled MUST NOT influence
-// simulation behaviour. Event pids are VM ids within one simulation; the
-// Chrome exporter re-bases each simulation's events into its own pid block
-// so one file can hold a whole sweep. Recording is bounded (max_events);
+// simulation behaviour. Event pids are VM ids within one simulation (a
+// cluster folds the host into them, see Cluster::TakeTrace); the Chrome
+// exporter re-bases each simulation's events into its own pid block so one
+// file can hold a whole sweep. Recording is bounded (max_events);
 // overflow drops events and counts them rather than growing without bound.
 //
 // Not thread-safe: one Tracer per Machine, used single-threaded; the
@@ -90,8 +91,11 @@ struct NamedTrace {
   const std::vector<TraceEvent>* events = nullptr;
 };
 
-// Pid block size per NamedTrace in the merged file: trace i's VM p becomes
-// pid i * kTracePidStride + p.
+// Pid block granularity in the merged file. Each NamedTrace gets a block of
+// its max pid + 1 rounded up to a multiple of kTracePidStride (so at least
+// one stride), and its pid p becomes the sum of the earlier blocks + p.
+// While every trace stays under kTracePidStride pids, trace i's pid p is
+// i * kTracePidStride + p.
 inline constexpr int kTracePidStride = 100;
 
 // Serializes to Chrome trace_event JSON with process_name metadata per

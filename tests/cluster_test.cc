@@ -1,10 +1,14 @@
 // src/cluster: placement scoring, telemetry namespacing, the single-host
-// byte-identity regression, spec-hash gating for cluster topology, and the
-// three live-migration resolution paths (complete / abort / cancel) with
-// page-conservation audits on both ends.
+// byte-identity regression, trace pid encoding, spec-hash gating for
+// cluster topology, the three live-migration resolution paths (complete /
+// abort / cancel) with page-conservation audits on both ends, and
+// run-to-run identity while hosts step concurrently. Run under
+// -fsanitize=thread in CI.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -223,6 +227,31 @@ TEST(ClusterTest, MultiHostRunsAreDeterministic) {
     json[run] = cluster.SnapshotMetrics().ToJson();
   }
   EXPECT_EQ(json[0], json[1]);
+}
+
+TEST(ClusterTest, TracePidsAreDistinctAcrossHosts) {
+  // Spread puts vm0 on host 0 and vm1 on host 1, where each is the host's
+  // own VM 0. The merged trace must keep them apart: host h's VM i is pid
+  // h * S + i, with S the most VMs any host holds.
+  MachineConfig config = FleetHost(1);
+  config.capture_trace = true;
+  ClusterSetup setup;
+  setup.num_hosts = 2;
+  setup.placement = PlacementPolicy::kSpread;
+  Cluster cluster(config, setup);
+  cluster.AddVm(FleetVm());
+  cluster.AddVm(FleetVm());
+  cluster.Run();
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(cluster.location(i).host, i);
+    ASSERT_EQ(cluster.location(i).index, 0);
+  }
+  const int stride = std::max(cluster.host(0).num_vms(), cluster.host(1).num_vms());
+  std::set<int> pids;
+  for (const TraceEvent& event : cluster.TakeTrace()) {
+    pids.insert(event.pid);
+  }
+  EXPECT_EQ(pids, (std::set<int>{0, stride}));
 }
 
 TEST(ClusterTest, SnapshotNamespacesHostsAndRollup) {
@@ -640,6 +669,67 @@ TEST(ClusterHaTest, FencedDestinationIsReplannedToFreshHost) {
   EXPECT_EQ(cluster.vms_killed(), cluster.vms_restarted() + cluster.vms_lost());
   ExpectNoResidualCommitments(cluster);
 }
+
+// Eight hosts are more than most machines have cores, so the pool's
+// workers each step several hosts per barrier. Even hosts fail-stop, hosts
+// 1 and 5 shrink and evacuate, migratefail hits every host and aborted
+// routes retry: the run crosses every barrier phase and must still repeat
+// byte for byte, with both ledgers balanced.
+TEST(ClusterTest, ConcurrentEightHostFleetIsDeterministic) {
+  std::string faults;
+  for (int h = 0; h < 8; ++h) {
+    faults += (h == 0 ? "" : ",") + std::string("migratefail=0.5/1ms@") + std::to_string(h);
+    if (h % 2 == 0) {
+      faults += ",hostfail=0.5/8ms@" + std::to_string(h);
+    }
+  }
+  std::string json[2];
+  std::vector<ClusterVmLocation> where[2];
+  std::vector<VmRunResult> results[2];
+  for (int run = 0; run < 2; ++run) {
+    MachineConfig config = FleetHost(4);
+    config.faults = MustParse(faults);
+    ClusterSetup setup;
+    setup.num_hosts = 8;
+    setup.epoch = 2 * kMillisecond;
+    const FaultPlan shrink = MustParse("tiershrink=0.3/4ms/8ms@0");
+    setup.host_faults = {FaultPlan{}, shrink, FaultPlan{}, FaultPlan{}};
+    setup.migration.max_retries = 3;
+    setup.migration.retry_backoff_epochs = 1;
+    Cluster cluster(config, setup);
+    for (int i = 0; i < 16; ++i) {
+      cluster.AddVm(FleetVm(100000));
+    }
+    cluster.Run();
+
+    const LiveMigrator::Stats& stats = cluster.migration_stats();
+    EXPECT_GE(stats.started, 1u);
+    EXPECT_GE(stats.aborted, 1u);
+    EXPECT_GE(cluster.migration_retries(), 1u);
+    EXPECT_GE(cluster.vms_killed(), 1u);
+    EXPECT_EQ(stats.started, stats.completed + stats.aborted + stats.cancelled + stats.fenced);
+    EXPECT_EQ(cluster.vms_killed(),
+              cluster.vms_restarted() + cluster.restart_queue_depth() + cluster.vms_lost());
+    ExpectNoResidualCommitments(cluster);
+    json[run] = cluster.SnapshotMetrics().ToJson();
+    for (int i = 0; i < cluster.num_vms(); ++i) {
+      where[run].push_back(cluster.location(i));
+      results[run].push_back(cluster.result(i));
+    }
+  }
+  EXPECT_EQ(json[0], json[1]);
+  ASSERT_EQ(results[0].size(), results[1].size());
+  for (size_t i = 0; i < results[0].size(); ++i) {
+    EXPECT_EQ(where[0][i].host, where[1][i].host) << "vm " << i;
+    EXPECT_EQ(where[0][i].index, where[1][i].index) << "vm " << i;
+    EXPECT_EQ(results[0][i].transactions, results[1][i].transactions) << "vm " << i;
+    EXPECT_EQ(results[0][i].elapsed_s, results[1][i].elapsed_s) << "vm " << i;
+    EXPECT_EQ(results[0][i].fmem_access_fraction, results[1][i].fmem_access_fraction)
+        << "vm " << i;
+    EXPECT_EQ(results[0][i].metrics.ToJson(), results[1][i].metrics.ToJson()) << "vm " << i;
+  }
+}
+
 
 TEST(ClusterTest, BlockedEvacuationReattemptsAfterCooldown) {
   // max_inflight=1 with several VMs on the shrinking host: the first

@@ -1,14 +1,11 @@
-// Runner subsystem tests: thread-pool semantics (exception isolation,
-// cancellation, idle-wait), content-hash seed derivation, result ordering,
+// Runner subsystem tests: content-hash seed derivation, result ordering,
 // retry policy, and the headline guarantee — the same ExperimentSpec set run
 // with --jobs=1 and --jobs=8 yields identical VmRunResults. Run under
 // -fsanitize=thread in CI.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <future>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -18,106 +15,9 @@
 
 #include "src/runner/result_sink.h"
 #include "src/runner/runner.h"
-#include "src/runner/thread_pool.h"
 
 namespace demeter {
 namespace {
-
-// ---------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPoolTest, RunsAllSubmittedJobs) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.Submit([&count] { count.fetch_add(1); }));
-  }
-  for (auto& future : futures) {
-    future.get();
-  }
-  EXPECT_EQ(count.load(), 64);
-}
-
-TEST(ThreadPoolTest, ExceptionIsolation) {
-  ThreadPool pool(2);
-  std::atomic<int> survived{0};
-  auto bad = pool.Submit([] { throw std::runtime_error("job failure"); });
-  std::vector<std::future<void>> good;
-  for (int i = 0; i < 16; ++i) {
-    good.push_back(pool.Submit([&survived] { survived.fetch_add(1); }));
-  }
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  for (auto& future : good) {
-    future.get();  // Workers outlive the throwing job.
-  }
-  EXPECT_EQ(survived.load(), 16);
-}
-
-TEST(ThreadPoolTest, CancelPendingDropsOnlyUnstartedJobs) {
-  ThreadPool pool(1);
-  std::promise<void> gate;
-  std::shared_future<void> open = gate.get_future().share();
-  std::promise<void> started;
-  std::atomic<int> ran{0};
-  // Occupies the single worker until the gate opens.
-  auto blocker = pool.Submit([open, &started, &ran] {
-    started.set_value();
-    open.wait();
-    ran.fetch_add(1);
-  });
-  started.get_future().wait();  // The blocker is in flight, not queued.
-  std::vector<std::future<void>> queued;
-  for (int i = 0; i < 8; ++i) {
-    queued.push_back(pool.Submit([&ran] { ran.fetch_add(1); }));
-  }
-  const size_t dropped = pool.CancelPending();
-  EXPECT_EQ(dropped, 8u);
-  gate.set_value();
-  blocker.get();
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 1);  // Only the in-flight job ran.
-  for (auto& future : queued) {
-    EXPECT_THROW(future.get(), std::future_error);  // broken_promise
-  }
-}
-
-TEST(ThreadPoolTest, WaitBlocksUntilIdle) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      done.fetch_add(1);
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 10);
-  EXPECT_EQ(pool.pending(), 0u);
-}
-
-TEST(ThreadPoolTest, DestructorAbandonsPendingJobs) {
-  auto pool = std::make_unique<ThreadPool>(1);
-  std::promise<void> gate;
-  std::shared_future<void> open = gate.get_future().share();
-  std::promise<void> started;
-  auto blocker = pool->Submit([open, &started] {
-    started.set_value();
-    open.wait();
-  });
-  started.get_future().wait();  // Worker is busy; the next job must queue.
-  std::future<void> queued = pool->Submit([] {});
-  // Destroy the pool while the worker is blocked: the destructor must break
-  // the queued job's promise before joining. The destructor itself blocks on
-  // the worker, so run it on a helper thread and release the gate only after
-  // the abandonment is observable.
-  std::thread destroyer([&pool] { pool.reset(); });
-  queued.wait();  // Ready (with broken_promise) once the queue is cleared.
-  gate.set_value();
-  destroyer.join();
-  blocker.get();
-  EXPECT_THROW(queued.get(), std::future_error);
-}
 
 // ---------------------------------------------------- Spec hashing and seeds
 

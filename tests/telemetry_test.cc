@@ -359,6 +359,34 @@ TEST(ChromeTrace, JsonShapeAndPidRebase) {
   EXPECT_EQ(depth, 0);
 }
 
+TEST(ChromeTrace, WideTraceGrowsItsPidBlock) {
+  // A trace with pids past kTracePidStride (a 150-VM host, or a cluster's
+  // host-folded pids) exports instead of aborting: its block grows to the
+  // next stride multiple and the following trace starts past it.
+  Tracer wide;
+  wide.set_enabled(true);
+  wide.Instant("lifecycle", "boot", 1000, /*pid=*/150, /*tid=*/0);
+  Tracer next;
+  next.set_enabled(true);
+  next.Instant("lifecycle", "boot", 2000, /*pid=*/0, /*tid=*/0);
+
+  const std::vector<TraceEvent> ew = wide.TakeEvents();
+  const std::vector<TraceEvent> en = next.TakeEvents();
+  const std::string json =
+      ChromeTraceJson({NamedTrace{"wide", &ew}, NamedTrace{"next", &en}});
+
+  EXPECT_NE(json.find("\"pid\":150,\"tid\":0,\"args\":{\"name\":\"wide/vm150\"}"),
+            std::string::npos)
+      << json;
+  const int next_base = 2 * kTracePidStride;
+  EXPECT_NE(json.find("\"pid\":" + std::to_string(next_base) +
+                      ",\"tid\":0,\"args\":{\"name\":\"next/vm0\"}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"pid\":" + std::to_string(kTracePidStride) + ","), std::string::npos)
+      << json;
+}
+
 TEST(ChromeTrace, EmptyTraceListIsValid) {
   const std::string json = ChromeTraceJson({});
   EXPECT_EQ(json.find("{\"displayTimeUnit\":"), 0u);
