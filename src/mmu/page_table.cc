@@ -8,6 +8,9 @@ PageTable::PageTable() : root_(std::make_unique<Node>()) {}
 PageTable::~PageTable() = default;
 
 PageTable::Node* PageTable::FindLeaf(PageNum vpn) const {
+  if (vpn >= kMaxPage) {
+    return nullptr;  // Beyond the tree: IndexAt would alias a lower page.
+  }
   const PageNum tag = vpn >> kBitsPerLevel;
   LeafCacheSlot& slot = leaf_cache_[static_cast<size_t>(tag) & (kLeafCacheSlots - 1)];
   if (slot.tag == tag && slot.epoch == structure_epoch_) {
@@ -105,6 +108,9 @@ PageTable::WalkResult PageTable::TranslateCold(PageNum vpn, bool is_write, bool 
   // accounting is unchanged — a cached leaf exists, so the descent it
   // replaces would have touched exactly kLevels entries; partial (faulting)
   // walks never come from the cache and still report their true depth.
+  if (vpn >= kMaxPage) {
+    return result;  // Never mapped, and no level is walked.
+  }
   Node* node = FindLeaf(vpn);
   if (node == nullptr) {
     // Absent subtree: count the levels actually touched, as before.

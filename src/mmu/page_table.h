@@ -7,7 +7,9 @@
 // The structure is a real 512-ary radix tree (9 bits per level, 4 levels,
 // 36-bit page numbers = 48-bit address spaces) so that page-table scans cost
 // what they cost on hardware: visitors report the number of entries touched,
-// which access-tracking baselines charge as CPU time.
+// which access-tracking baselines charge as CPU time. Page numbers at or
+// above kMaxPage are never mapped: Map rejects them, and every other query
+// reports them not present, with no levels touched.
 
 #ifndef DEMETER_SRC_MMU_PAGE_TABLE_H_
 #define DEMETER_SRC_MMU_PAGE_TABLE_H_

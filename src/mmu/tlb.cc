@@ -1,24 +1,38 @@
 #include "src/mmu/tlb.h"
 
+#include <algorithm>
+
 #include "src/base/logging.h"
 
 namespace demeter {
 
 Tlb::Tlb(int num_sets, int ways) : num_sets_(num_sets), ways_(ways) {
-  DEMETER_CHECK_GT(num_sets, 0);
-  DEMETER_CHECK_GT(ways, 0);
+  DEMETER_CHECK_GE(num_sets, 1);
+  DEMETER_CHECK_GE(ways, 1);
+  DEMETER_CHECK_LE(ways, kMaxWays);
   const size_t cap = static_cast<size_t>(num_sets) * static_cast<size_t>(ways);
-  vpns_.resize(cap, ~0ULL);
-  epochs_.resize(cap, 0);  // Sentinel: everything starts stale.
+  tags_.resize(cap, 0);  // Sentinel: everything starts invalid.
   frames_.resize(cap, kInvalidFrame);
-  lru_.resize(cap, 0);
+  // Any starting order will do: a way's place only matters once the way is
+  // live, and filling it moves it to the front.
+  uint32_t order = 0;
+  for (int w = ways - 1; w >= 0; --w) {
+    order = (order << 4) | static_cast<uint32_t>(w);
+  }
+  order_.assign(static_cast<size_t>(num_sets), order);
 }
 
 void Tlb::InvalidateAll() {
   ++stats_.full_flushes;
   // Epoch bump: every existing entry becomes stale without being touched.
-  // A 64-bit counter cannot plausibly wrap within a simulation.
-  ++epoch_;
+  // At the top of the 28-bit field, zero every tag instead and restart at
+  // epoch 1, so no entry tagged with an old epoch 1 can come back.
+  if (epoch_ == kMaxEpoch) {
+    std::fill(tags_.begin(), tags_.end(), 0);
+    epoch_ = 1;
+  } else {
+    ++epoch_;
+  }
   // Paging-structure caches are gone too; the next ~capacity misses walk
   // cold. A second invalidation before the rewarm completes cannot make the
   // caches any colder — it only restarts the rewarm window — so the budget

@@ -9,14 +9,19 @@
 // use single-address invalidations because it knows the gVA. Table 1 counts
 // exactly these two instruction kinds.
 //
-// Storage is structure-of-arrays: the probe tags (vpn + insertion epoch)
-// live in their own dense arrays, separate from the payload (frame, LRU
-// tick). A set probe touches 8 contiguous vpns and 8 contiguous epochs —
-// two cache lines — instead of striding across 40-byte AoS entries; only
-// the hitting way's payload is loaded. Liveness is encoded in the epoch
-// tag alone: an entry is live iff its epoch equals the TLB's current epoch
-// (epoch 0 is the never-valid/invalidated sentinel; the current epoch
-// starts at 1 and only grows).
+// Storage is 16.5 bytes per entry in three set-major arrays (way w of set s
+// lives at s*ways_ + w):
+//   * tags_: one word per way, `epoch << kVpnBits | vpn`. A probe compares
+//     one precomputed word per way, and a set's eight tags are 64
+//     contiguous bytes. Liveness is encoded in the epoch field alone: an
+//     entry is live iff its epoch equals the TLB's current epoch. Tag 0 is
+//     the never-valid/invalidated sentinel (the current epoch is never 0).
+//   * frames_: the payload, loaded only for the hitting way.
+//   * order_: one word per set listing its ways most-recent-first, 4 bits
+//     per way. A way moves to the front on every hit and every insert —
+//     exactly where a per-entry LRU tick would be bumped — so the list keeps
+//     the ticks' relative order, and the last way is the one the lowest
+//     tick would name.
 
 #ifndef DEMETER_SRC_MMU_TLB_H_
 #define DEMETER_SRC_MMU_TLB_H_
@@ -24,8 +29,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/base/logging.h"
 #include "src/base/units.h"
 #include "src/mem/host_memory.h"
+#include "src/mmu/page_table.h"
 
 namespace demeter {
 
@@ -45,6 +52,12 @@ struct TlbStats {
 
 class Tlb {
  public:
+  // A tag holds any mappable page number (below PageTable::kMaxPage) in
+  // its low 36 bits; the epoch takes the remaining 28.
+  static constexpr int kVpnBits = PageTable::kLevels * PageTable::kBitsPerLevel;
+  static constexpr uint64_t kMaxEpoch = (uint64_t{1} << (64 - kVpnBits)) - 1;
+  static constexpr int kMaxWays = 8;  // 4-bit way numbers in a 32-bit order word.
+
   // Default geometry models an STLB whose reach is amplified by transparent
   // hugepages (the guests run THP: one 2 MiB entry per 512 base pages), so
   // steady-state coverage approximates the working set — which is what makes
@@ -54,13 +67,18 @@ class Tlb {
 
   // Looks up gVA page `vpn`; returns the cached hPA frame or kInvalidFrame.
   FrameId Lookup(PageNum vpn) {
-    const size_t base = SetOf(vpn);
+    if (!Cacheable(vpn)) {
+      ++stats_.misses;
+      return kInvalidFrame;
+    }
+    const size_t set = SetOf(vpn);
+    const size_t base = set * static_cast<size_t>(ways_);
+    const uint64_t tag = TagOf(vpn);
     for (int w = 0; w < ways_; ++w) {
-      const size_t i = base + static_cast<size_t>(w);
-      if (epochs_[i] == epoch_ && vpns_[i] == vpn) {
-        lru_[i] = ++tick_;
+      if (tags_[base + static_cast<size_t>(w)] == tag) {
+        Touch(set, w);
         ++stats_.hits;
-        return frames_[i];
+        return frames_[base + static_cast<size_t>(w)];
       }
     }
     ++stats_.misses;
@@ -69,53 +87,53 @@ class Tlb {
 
   // Accounts a hit whose set scan was skipped because the probing vCPU just
   // translated the same page (ExecuteBatch's same-page run coalescing). The
-  // hit counter advances exactly as Lookup would have; the LRU tick is NOT
-  // re-bumped — the entry already holds the set's maximum tick from the
-  // run's first probe, and bumping a sole maximum never changes the set's
-  // relative LRU order, so victim selection is unaffected.
+  // hit counter advances exactly as Lookup would have; the recency list is
+  // NOT touched — the run's first probe already moved the entry to the
+  // front of its set, and moving the front way to the front is a no-op, so
+  // victim selection is unaffected.
   void CountCoalescedHit() { ++stats_.hits; }
 
   // Installs vpn -> frame after a successful walk.
   void Insert(PageNum vpn, FrameId frame) {
-    const size_t base = SetOf(vpn);
+    DEMETER_CHECK(Cacheable(vpn)) << "vpn " << vpn << " is outside the 36-bit page space";
+    const size_t set = SetOf(vpn);
+    const size_t base = set * static_cast<size_t>(ways_);
+    const uint64_t tag = TagOf(vpn);
     // Victim choice, in way order: a same-vpn live entry is updated in
     // place; otherwise the LAST non-live way wins, and only when every way
-    // is live does true LRU (lowest tick) pick.
-    size_t victim = base;
-    bool victim_set = false;
-    bool victim_live = false;
+    // is live does LRU (the last way in the recency list) pick.
+    int victim = -1;
     for (int w = 0; w < ways_; ++w) {
       const size_t i = base + static_cast<size_t>(w);
-      const bool live = epochs_[i] == epoch_;
-      if (live && vpns_[i] == vpn) {
+      if (tags_[i] == tag) {
         frames_[i] = frame;
-        lru_[i] = ++tick_;
+        Touch(set, w);
         return;
       }
-      if (!live) {
-        victim = i;
-        victim_set = true;
-        victim_live = false;
-      } else if (!victim_set || (victim_live && lru_[i] < lru_[victim])) {
-        victim = i;
-        victim_set = true;
-        victim_live = true;
+      if ((tags_[i] >> kVpnBits) != epoch_) {
+        victim = w;
       }
     }
-    vpns_[victim] = vpn;
-    frames_[victim] = frame;
-    lru_[victim] = ++tick_;
-    epochs_[victim] = epoch_;
+    if (victim < 0) {
+      victim = static_cast<int>((order_[set] >> (4 * (ways_ - 1))) & 0xF);
+    }
+    tags_[base + static_cast<size_t>(victim)] = tag;
+    frames_[base + static_cast<size_t>(victim)] = frame;
+    Touch(set, victim);
   }
 
   // Single-address invalidation (guest knows the gVA).
   void InvalidatePage(PageNum vpn) {
     ++stats_.single_flushes;
-    const size_t base = SetOf(vpn);
+    if (!Cacheable(vpn)) {
+      return;
+    }
+    const size_t base = SetOf(vpn) * static_cast<size_t>(ways_);
+    const uint64_t tag = TagOf(vpn);
     for (int w = 0; w < ways_; ++w) {
       const size_t i = base + static_cast<size_t>(w);
-      if (epochs_[i] == epoch_ && vpns_[i] == vpn) {
-        epochs_[i] = 0;  // Sentinel: dead until re-inserted.
+      if (tags_[i] == tag) {
+        tags_[i] = 0;  // Sentinel: dead until re-inserted.
         return;
       }
     }
@@ -128,11 +146,12 @@ class Tlb {
   // ConsumeWalkFactor() returns the cost multiplier for the next miss.
   //
   // O(1): instead of sweeping sets*ways entries, the TLB carries a
-  // generation counter (epoch); every entry is tagged with the epoch it was
-  // inserted under, and entries from older epochs are treated exactly like
-  // invalid ones everywhere (lookup, victim selection, audits). Policies
-  // that full-flush per scan round (hypervisor-side designs flush every
-  // epoch) used to pay an 8K-entry sweep per flush.
+  // generation counter (epoch); every tag carries the epoch it was inserted
+  // under, and entries from older epochs are treated exactly like invalid
+  // ones everywhere (lookup, victim selection, audits). Policies that
+  // full-flush per scan round (hypervisor-side designs flush every epoch)
+  // used to pay an 8K-entry sweep per flush. Only when the 28-bit epoch
+  // field would overflow are the tags swept, once per kMaxEpoch flushes.
   void InvalidateAll();
 
   // Walk-cost multiplier for a miss happening now; decays as the
@@ -145,12 +164,13 @@ class Tlb {
     return kColdWalkFactor;
   }
 
-  // Read-only walk over every valid entry, for audits: fn(vpn, frame).
+  // Read-only walk over every valid entry in index order, for audits:
+  // fn(vpn, frame).
   template <typename Fn>
   void ForEachValid(Fn&& fn) const {
-    for (size_t i = 0; i < epochs_.size(); ++i) {
-      if (epochs_[i] == epoch_) {
-        fn(vpns_[i], frames_[i]);
+    for (size_t i = 0; i < tags_.size(); ++i) {
+      if ((tags_[i] >> kVpnBits) == epoch_) {
+        fn(tags_[i] & kVpnMask, frames_[i]);
       }
     }
   }
@@ -161,25 +181,40 @@ class Tlb {
   int capacity() const { return num_sets_ * ways_; }
 
  private:
+  static constexpr uint64_t kVpnMask = (uint64_t{1} << kVpnBits) - 1;
+
+  // A page number the tag can hold; no larger one is ever mapped.
+  static bool Cacheable(PageNum vpn) { return (vpn >> kVpnBits) == 0; }
+
+  uint64_t TagOf(PageNum vpn) const { return (epoch_ << kVpnBits) | vpn; }
+
   size_t SetOf(PageNum vpn) const {
     // Multiplicative hash spreads contiguous pages across sets.
     uint64_t h = vpn * 0x9e3779b97f4a7c15ULL;
-    return static_cast<size_t>((h >> 32) % static_cast<uint64_t>(num_sets_)) *
-           static_cast<size_t>(ways_);
+    return static_cast<size_t>((h >> 32) % static_cast<uint64_t>(num_sets_));
+  }
+
+  // Moves `way` to the front of its set's recency list.
+  void Touch(size_t set, int way) {
+    uint32_t& order = order_[set];
+    const uint32_t w = static_cast<uint32_t>(way);
+    int pos = 0;
+    while (((order >> (4 * pos)) & 0xF) != w) {
+      ++pos;
+    }
+    // The ways ahead of `way` move back one place; `way` takes place 0.
+    const uint64_t ahead = (uint64_t{1} << (4 * pos)) - 1;
+    const uint64_t through = (ahead << 4) | 0xF;
+    order = static_cast<uint32_t>((order & ~through) | ((order & ahead) << 4) | w);
   }
 
   int num_sets_;
   int ways_;
-  // SoA storage, set-major (way i of set s lives at s*ways_ + i). The scan
-  // arrays (vpns_, epochs_) decide hit/miss/victim; payload arrays are only
-  // touched for the chosen way.
-  std::vector<PageNum> vpns_;
-  std::vector<uint64_t> epochs_;  // 0 = never valid / invalidated sentinel.
+  std::vector<uint64_t> tags_;  // epoch << kVpnBits | vpn; 0 = never valid.
   std::vector<FrameId> frames_;
-  std::vector<uint64_t> lru_;
-  uint64_t tick_ = 0;
-  uint64_t epoch_ = 1;       // Bumped by InvalidateAll; entries start stale.
-  uint64_t cold_walks_ = 0;  // Misses left that pay the cold-walk multiplier.
+  std::vector<uint32_t> order_;  // Per set: ways most-recent-first, 4 bits each.
+  uint64_t epoch_ = 1;           // 1..kMaxEpoch; bumped by InvalidateAll.
+  uint64_t cold_walks_ = 0;      // Misses left that pay the cold-walk multiplier.
   TlbStats stats_;
 
   static constexpr double kColdWalkFactor = 2.5;

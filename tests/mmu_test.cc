@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -246,6 +249,248 @@ TEST(PageTable, SparseRandomPropertyCheck) {
   EXPECT_EQ(visited, model.size());
 }
 
+// Regression: only Map checked the 36-bit bound. Every other entry point
+// indexed the radix tree with the page number's high bits masked off, so
+// with vpn 5 mapped, 5 + kMaxPage read, walked, unmapped and remapped vpn 5.
+TEST(PageTable, PagesBeyondMaxPageAreNeverPresent) {
+  PageTable pt;
+  ASSERT_TRUE(pt.Map(5, 55, true));
+  pt.Translate(5, /*is_write=*/true, /*set_bits=*/true);  // Sets A and D; warms the cache.
+  const PageNum alias = 5 + PageTable::kMaxPage;
+  const auto walk = pt.Translate(alias, /*is_write=*/true, /*set_bits=*/true);
+  EXPECT_FALSE(walk.present);
+  EXPECT_EQ(walk.levels_touched, 0);
+  EXPECT_FALSE(pt.Lookup(alias).present);
+  EXPECT_FALSE(pt.IsMapped(alias));
+  EXPECT_EQ(pt.Unmap(alias), ~0ULL);
+  EXPECT_FALSE(pt.Remap(alias, 66));
+  EXPECT_FALSE(pt.TestAndClearAccessed(alias));
+  EXPECT_FALSE(pt.TestAndClearDirty(alias));
+  EXPECT_FALSE(pt.Translate(~0ULL, false, false).present);
+
+  const auto page5 = pt.Lookup(5);
+  ASSERT_TRUE(page5.present) << "an out-of-range page unmapped vpn 5";
+  EXPECT_EQ(page5.target, 55u);
+  EXPECT_TRUE(page5.was_accessed);
+  EXPECT_TRUE(page5.was_dirty);
+  EXPECT_EQ(pt.mapped_count(), 1u);
+  EXPECT_EQ(pt.remap_count(), 0u);
+  EXPECT_EQ(pt.Translate(5, false, false).target, 55u);
+}
+
+// Reference oracle for the differential test: the TLB as first written,
+// with separate vpn and epoch arrays, a 64-bit LRU tick per entry, and
+// victims picked by scanning for the lowest tick. The production Tlb packs
+// the same state into one fused tag per way and one recency word per set;
+// every observable result must stay identical.
+class ReferenceTlb {
+ public:
+  explicit ReferenceTlb(int num_sets = 1024, int ways = 8) : num_sets_(num_sets), ways_(ways) {
+    DEMETER_CHECK_GT(num_sets, 0);
+    DEMETER_CHECK_GT(ways, 0);
+    const size_t cap = static_cast<size_t>(num_sets) * static_cast<size_t>(ways);
+    vpns_.resize(cap, ~0ULL);
+    epochs_.resize(cap, 0);  // Sentinel: everything starts stale.
+    frames_.resize(cap, kInvalidFrame);
+    lru_.resize(cap, 0);
+  }
+
+  FrameId Lookup(PageNum vpn) {
+    const size_t base = SetOf(vpn);
+    for (int w = 0; w < ways_; ++w) {
+      const size_t i = base + static_cast<size_t>(w);
+      if (epochs_[i] == epoch_ && vpns_[i] == vpn) {
+        lru_[i] = ++tick_;
+        ++stats_.hits;
+        return frames_[i];
+      }
+    }
+    ++stats_.misses;
+    return kInvalidFrame;
+  }
+
+  void CountCoalescedHit() { ++stats_.hits; }
+
+  void Insert(PageNum vpn, FrameId frame) {
+    const size_t base = SetOf(vpn);
+    // Victim choice, in way order: a same-vpn live entry is updated in
+    // place; otherwise the LAST non-live way wins, and only when every way
+    // is live does true LRU (lowest tick) pick.
+    size_t victim = base;
+    bool victim_set = false;
+    bool victim_live = false;
+    for (int w = 0; w < ways_; ++w) {
+      const size_t i = base + static_cast<size_t>(w);
+      const bool live = epochs_[i] == epoch_;
+      if (live && vpns_[i] == vpn) {
+        frames_[i] = frame;
+        lru_[i] = ++tick_;
+        return;
+      }
+      if (!live) {
+        victim = i;
+        victim_set = true;
+        victim_live = false;
+      } else if (!victim_set || (victim_live && lru_[i] < lru_[victim])) {
+        victim = i;
+        victim_set = true;
+        victim_live = true;
+      }
+    }
+    vpns_[victim] = vpn;
+    frames_[victim] = frame;
+    lru_[victim] = ++tick_;
+    epochs_[victim] = epoch_;
+  }
+
+  void InvalidatePage(PageNum vpn) {
+    ++stats_.single_flushes;
+    const size_t base = SetOf(vpn);
+    for (int w = 0; w < ways_; ++w) {
+      const size_t i = base + static_cast<size_t>(w);
+      if (epochs_[i] == epoch_ && vpns_[i] == vpn) {
+        epochs_[i] = 0;  // Sentinel: dead until re-inserted.
+        return;
+      }
+    }
+  }
+
+  void InvalidateAll() {
+    ++stats_.full_flushes;
+    ++epoch_;
+    cold_walks_ = static_cast<uint64_t>(capacity());
+  }
+
+  double ConsumeWalkFactor() {
+    if (cold_walks_ == 0) {
+      return 1.0;
+    }
+    --cold_walks_;
+    return kColdWalkFactor;
+  }
+
+  template <typename Fn>
+  void ForEachValid(Fn&& fn) const {
+    for (size_t i = 0; i < epochs_.size(); ++i) {
+      if (epochs_[i] == epoch_) {
+        fn(vpns_[i], frames_[i]);
+      }
+    }
+  }
+
+  const TlbStats& stats() const { return stats_; }
+
+  int capacity() const { return num_sets_ * ways_; }
+
+ private:
+  size_t SetOf(PageNum vpn) const {
+    uint64_t h = vpn * 0x9e3779b97f4a7c15ULL;
+    return static_cast<size_t>((h >> 32) % static_cast<uint64_t>(num_sets_)) *
+           static_cast<size_t>(ways_);
+  }
+
+  int num_sets_;
+  int ways_;
+  std::vector<PageNum> vpns_;
+  std::vector<uint64_t> epochs_;  // 0 = never valid / invalidated sentinel.
+  std::vector<FrameId> frames_;
+  std::vector<uint64_t> lru_;
+  uint64_t tick_ = 0;
+  uint64_t epoch_ = 1;
+  uint64_t cold_walks_ = 0;
+  TlbStats stats_;
+
+  static constexpr double kColdWalkFactor = 2.5;
+};
+
+template <typename AnyTlb>
+std::vector<std::pair<PageNum, FrameId>> ValidEntries(const AnyTlb& tlb) {
+  std::vector<std::pair<PageNum, FrameId>> entries;
+  tlb.ForEachValid([&](PageNum vpn, FrameId frame) { entries.emplace_back(vpn, frame); });
+  return entries;
+}
+
+void ExpectSameStats(const TlbStats& got, const TlbStats& want) {
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.single_flushes, want.single_flushes);
+  EXPECT_EQ(got.full_flushes, want.full_flushes);
+}
+
+struct TlbGeometry {
+  int num_sets;
+  int ways;
+};
+
+class TlbDifferentialTest : public ::testing::TestWithParam<TlbGeometry> {};
+
+// One seeded stream of mixed operations drives the Tlb and the reference in
+// lockstep. Pages come mostly from a hot range about twice the capacity
+// (every set keeps evicting) and otherwise from the whole 36-bit space.
+// Full flushes are rare enough that large TLBs still fill up between them.
+// CountCoalescedHit is issued only right after a hit, as the run memo does.
+TEST_P(TlbDifferentialTest, MatchesReferenceOnMixedStream) {
+  const TlbGeometry geometry = GetParam();
+  Tlb tlb(geometry.num_sets, geometry.ways);
+  ReferenceTlb ref(geometry.num_sets, geometry.ways);
+  const uint64_t capacity = static_cast<uint64_t>(tlb.capacity());
+  const PageNum hot_pages = 2 * capacity + 3;
+  const uint64_t flush_per_million = std::max<uint64_t>(1, 250000 / capacity);
+  const int audit_every = capacity <= 64 ? 1 : 256;
+  Rng rng(0x71b0 + capacity);
+  constexpr int kOps = 200000;
+  for (int op = 0; op < kOps; ++op) {
+    const PageNum vpn =
+        rng.NextBool(0.9) ? rng.NextBelow(hot_pages) : rng.NextBelow(PageTable::kMaxPage);
+    const uint64_t kind = rng.NextBelow(1000000);
+    if (kind < 500000) {
+      const FrameId got = tlb.Lookup(vpn);
+      ASSERT_EQ(got, ref.Lookup(vpn)) << "op " << op << ": Lookup(" << vpn << ")";
+      if (got != kInvalidFrame) {
+        for (uint64_t run = rng.NextBelow(3); run > 0; --run) {
+          tlb.CountCoalescedHit();
+          ref.CountCoalescedHit();
+        }
+      }
+    } else if (kind < 800000) {
+      const FrameId frame = rng.Next() & 0xffffffffffULL;
+      tlb.Insert(vpn, frame);
+      ref.Insert(vpn, frame);
+    } else if (kind < 900000) {
+      tlb.InvalidatePage(vpn);
+      ref.InvalidatePage(vpn);
+    } else if (kind < 900000 + flush_per_million) {
+      tlb.InvalidateAll();
+      ref.InvalidateAll();
+    } else {
+      ASSERT_EQ(tlb.ConsumeWalkFactor(), ref.ConsumeWalkFactor()) << "op " << op;
+    }
+    ExpectSameStats(tlb.stats(), ref.stats());
+    if (op % audit_every == 0) {
+      ASSERT_EQ(ValidEntries(tlb), ValidEntries(ref)) << "op " << op;
+    }
+  }
+  EXPECT_EQ(ValidEntries(tlb), ValidEntries(ref));
+  EXPECT_GT(tlb.stats().hits, 0u);
+  EXPECT_GT(tlb.stats().full_flushes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, TlbDifferentialTest,
+    ::testing::Values(TlbGeometry{1, 1}, TlbGeometry{1, 4}, TlbGeometry{2, 2},
+                      TlbGeometry{16, 8}, TlbGeometry{1024, 8}),
+    [](const ::testing::TestParamInfo<TlbGeometry>& info) {
+      return std::to_string(info.param.num_sets) + "x" + std::to_string(info.param.ways);
+    });
+
+// Live entries of `tlb` in index order, read without touching recency. With
+// one set, index order is way order.
+std::vector<PageNum> Resident(const Tlb& tlb) {
+  std::vector<PageNum> vpns;
+  tlb.ForEachValid([&](PageNum vpn, FrameId) { vpns.push_back(vpn); });
+  return vpns;
+}
+
 TEST(Tlb, HitAfterInsert) {
   Tlb tlb;
   EXPECT_EQ(tlb.Lookup(5), kInvalidFrame);
@@ -359,6 +604,116 @@ TEST(Tlb, CapacityEvictsLru) {
   }
   EXPECT_LE(resident, 4);
   EXPECT_GT(resident, 0);
+}
+
+// The exact victim, not just the resident count: a full set evicts its least
+// recently used way, where both hits and inserts (including an in-place
+// update) count as uses.
+TEST(Tlb, LookupsReorderTheLruVictim) {
+  Tlb tlb(/*num_sets=*/1, /*ways=*/4);
+  for (PageNum p = 0; p < 4; ++p) {
+    tlb.Insert(p, p + 100);  // An empty set fills its last way first.
+  }
+  ASSERT_EQ(Resident(tlb), (std::vector<PageNum>{3, 2, 1, 0}));
+  // Recency, most recent first: 3 2 1 0. These hits make it 1 0 3 2.
+  ASSERT_EQ(tlb.Lookup(2), 102u);
+  ASSERT_EQ(tlb.Lookup(3), 103u);
+  ASSERT_EQ(tlb.Lookup(0), 100u);
+  ASSERT_EQ(tlb.Lookup(1), 101u);
+  tlb.Insert(10, 110);
+  EXPECT_EQ(Resident(tlb), (std::vector<PageNum>{3, 10, 1, 0})) << "victim was not page 2";
+  // Recency 10 1 0 3; updating 0 in place makes it 0 10 1 3.
+  tlb.Insert(0, 200);
+  tlb.Insert(11, 111);
+  EXPECT_EQ(Resident(tlb), (std::vector<PageNum>{11, 10, 1, 0})) << "victim was not page 3";
+  tlb.Insert(12, 112);
+  EXPECT_EQ(Resident(tlb), (std::vector<PageNum>{11, 10, 12, 0})) << "victim was not page 1";
+  EXPECT_EQ(tlb.Lookup(0), 200u);
+}
+
+TEST(Tlb, CoalescedHitCountsWithoutReordering) {
+  Tlb tlb(/*num_sets=*/1, /*ways=*/4);
+  for (PageNum p = 0; p < 4; ++p) {
+    tlb.Insert(p, p + 100);
+  }
+  ASSERT_EQ(tlb.Lookup(1), 101u);  // Recency: 1 3 2 0.
+  tlb.CountCoalescedHit();
+  tlb.CountCoalescedHit();
+  EXPECT_EQ(tlb.stats().hits, 3u);
+  EXPECT_EQ(tlb.stats().misses, 0u);
+  tlb.Insert(10, 110);
+  EXPECT_EQ(Resident(tlb), (std::vector<PageNum>{3, 2, 1, 10})) << "victim was not page 0";
+}
+
+TEST(Tlb, LastStaleWayIsReusedBeforeAnyLiveWay) {
+  Tlb tlb(/*num_sets=*/1, /*ways=*/4);
+  for (PageNum p = 0; p < 4; ++p) {
+    tlb.Insert(p, p + 100);  // Ways 0..3 hold 3 2 1 0; page 0 is the LRU.
+  }
+  tlb.InvalidatePage(2);  // Way 1.
+  tlb.InvalidatePage(1);  // Way 2.
+  tlb.Insert(10, 110);    // The last stale way (2), not way 1, not LRU way 3.
+  tlb.Insert(11, 111);    // Then way 1.
+  EXPECT_EQ(Resident(tlb), (std::vector<PageNum>{3, 11, 10, 0}));
+  tlb.Insert(12, 112);  // Every way live: LRU page 0 goes.
+  EXPECT_EQ(Resident(tlb), (std::vector<PageNum>{3, 11, 10, 12}));
+  // A full flush makes every way stale: refills go last way first again.
+  tlb.InvalidateAll();
+  tlb.Insert(20, 120);
+  tlb.Insert(21, 121);
+  EXPECT_EQ(Resident(tlb), (std::vector<PageNum>{21, 20}));
+}
+
+// The epoch field is 28 bits. At its top, InvalidateAll zeroes every tag and
+// restarts at epoch 1, so an entry tagged with the previous epoch 1 cannot
+// come back. Every flush below is O(1) apart from that one sweep.
+TEST(Tlb, NoEntryComesBackAcrossTheEpochWrap) {
+  Tlb tlb(/*num_sets=*/1, /*ways=*/4);
+  for (PageNum p = 1; p <= 4; ++p) {
+    tlb.Insert(p, p + 100);  // Tagged with epoch 1.
+  }
+  for (uint64_t flush = 1; flush < Tlb::kMaxEpoch; ++flush) {
+    tlb.InvalidateAll();
+  }
+  // Now at the last epoch: one refill overwrites the last way (page 1).
+  tlb.Insert(6, 106);
+  ASSERT_EQ(Resident(tlb), (std::vector<PageNum>{6}));
+  tlb.InvalidateAll();  // Wraps to epoch 1.
+  EXPECT_EQ(tlb.stats().full_flushes, Tlb::kMaxEpoch);
+  EXPECT_TRUE(Resident(tlb).empty()) << "an entry survived the epoch wrap";
+  for (PageNum p = 2; p <= 6; ++p) {
+    EXPECT_EQ(tlb.Lookup(p), kInvalidFrame) << "page " << p << " came back";
+  }
+  tlb.Insert(7, 107);
+  EXPECT_EQ(tlb.Lookup(7), 107u);
+  tlb.InvalidateAll();
+  EXPECT_EQ(tlb.Lookup(7), kInvalidFrame);
+}
+
+// The tag holds a 36-bit page number (PageTable::kMaxPage); no larger page
+// is ever mapped, so none may alias a cached one.
+TEST(Tlb, PagesBeyondMaxPageAreNeverCached) {
+  Tlb tlb;
+  tlb.Insert(5, 105);
+  const PageNum alias = 5 + PageTable::kMaxPage;
+  EXPECT_EQ(tlb.Lookup(alias), kInvalidFrame);
+  EXPECT_EQ(tlb.Lookup(~0ULL), kInvalidFrame);
+  EXPECT_EQ(tlb.stats().misses, 2u);
+  tlb.InvalidatePage(alias);
+  EXPECT_EQ(tlb.stats().single_flushes, 1u) << "the flush instruction still counts";
+  EXPECT_EQ(tlb.Lookup(5), 105u) << "flushing the alias dropped page 5";
+  EXPECT_DEATH(tlb.Insert(alias, 1), "outside the 36-bit page space");
+}
+
+TEST(Tlb, ConstructorChecksGeometry) {
+  EXPECT_DEATH({ Tlb tlb(/*num_sets=*/1, /*ways=*/0); }, "ways");
+  EXPECT_DEATH({ Tlb tlb(/*num_sets=*/1, /*ways=*/9); }, "kMaxWays");
+  EXPECT_DEATH({ Tlb tlb(/*num_sets=*/0, /*ways=*/4); }, "num_sets");
+  Tlb widest(/*num_sets=*/1, Tlb::kMaxWays);
+  for (PageNum p = 0; p < 9; ++p) {
+    widest.Insert(p, p);
+  }
+  EXPECT_EQ(Resident(widest), (std::vector<PageNum>{7, 6, 5, 4, 3, 2, 1, 8}));
 }
 
 TEST(Tlb, ColdWalkBudgetMatchesCapacity) {
@@ -517,6 +872,20 @@ TEST_F(WalkerTest, MissCostExceedsHitCostSubstantially) {
   auto miss = Translate2D(tlb_, gpt_, ept_, 10, false, costs_);
   auto hit = Translate2D(tlb_, gpt_, ept_, 10, false, costs_);
   EXPECT_GT(miss.cost_ns, hit.cost_ns * 20);
+}
+
+// Regression: a gVA page at or above kMaxPage used to walk as its low 36 bits,
+// so Translate2D returned vpn 5's frame for 5 + kMaxPage and cached it in the
+// TLB. Now it guest-faults without walking, and Map names the bad page.
+TEST_F(WalkerTest, PageBeyondMaxPageGuestFaultsAndIsNotCached) {
+  gpt_.Map(5, 200, true);
+  ept_.Map(200, 3000, true);
+  const auto r = Translate2D(tlb_, gpt_, ept_, 5 + PageTable::kMaxPage, false, costs_);
+  EXPECT_EQ(r.status, TranslateStatus::kGuestFault);
+  EXPECT_DOUBLE_EQ(r.cost_ns, 0.0) << "no level of the guest table exists for it";
+  EXPECT_TRUE(Resident(tlb_).empty());
+  EXPECT_EQ(tlb_.stats().misses, 1u);
+  EXPECT_DEATH(gpt_.Map(5 + PageTable::kMaxPage, 201, true), "kMaxPage");
 }
 
 TEST_F(WalkerTest, FullFlushForcesRewalk) {
