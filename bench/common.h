@@ -14,9 +14,6 @@
 //   --trace=FILE  write a Chrome trace_event JSON trace of every run to FILE
 //   --faults=SPEC inject the given fault schedule into every machine
 //                 (see FaultPlan::Parse for the SPEC grammar)
-//   --shards=N    partition each machine's per-VM state into N shards
-//                 (ownership/locality only — results are byte-identical for
-//                 every N; see DESIGN.md "The sharded host")
 //   --check       audit cross-layer invariants during every run (abort on
 //                 violation); observability-only, results are unchanged
 //   --help        print usage and exit
@@ -55,14 +52,13 @@ struct BenchScale {
   std::string out;            // JSON-lines output path; empty = none.
   std::string trace;          // Chrome trace output path; empty = no tracing.
   FaultPlan faults;           // --faults; empty = fault-free.
-  int shards = 1;             // --shards; clamped to [1, Machine::kMaxShards].
   bool check_invariants = false;  // --check.
   bool smoke = false;         // --smoke was given (benches that scale VM counts).
 
   static void Usage(const char* prog, std::FILE* stream) {
     std::fprintf(stream,
                  "usage: %s [--full] [--smoke] [--jobs=N] [--out=FILE] [--trace=FILE]\n"
-                 "          [--faults=SPEC] [--shards=N] [--check] [--help]\n"
+                 "          [--faults=SPEC] [--check] [--help]\n"
                  "  --full         paper-scale (slower) configuration\n"
                  "  --smoke        tiny CI configuration (completes in seconds)\n"
                  "  --jobs=N       parallel experiment jobs (default: all cores)\n"
@@ -70,7 +66,6 @@ struct BenchScale {
                  "  --trace=FILE   write Chrome trace_event JSON to FILE\n"
                  "  --faults=SPEC  inject a fault schedule, e.g.\n"
                  "                 'bdrop=0.1,stall=5ms/50ms,vqcap=8' (see src/fault)\n"
-                 "  --shards=N     shard per-VM machine state (results identical for any N)\n"
                  "  --check        audit cross-layer invariants every quantum\n",
                  prog);
   }
@@ -139,15 +134,6 @@ struct BenchScale {
           std::exit(2);
         }
         scale.faults = *plan;
-      } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-        char* end = nullptr;
-        const long shards = std::strtol(arg + 9, &end, 10);
-        if (end == arg + 9 || *end != '\0' || shards < 1) {
-          std::fprintf(stderr, "%s: --shards needs a positive integer, got '%s'\n", argv[0],
-                       arg + 9);
-          std::exit(2);
-        }
-        scale.shards = static_cast<int>(shards);
       } else if (std::strcmp(arg, "--check") == 0) {
         scale.check_invariants = true;
       } else if (std::strcmp(arg, "--help") == 0) {
@@ -187,10 +173,9 @@ inline MachineConfig HostFor(const BenchScale& scale, int num_vms,
                                                  ? TierSpec::Pmem(smem_bytes)
                                                  : TierSpec::RemoteDram(smem_bytes)};
   // Observability only — excluded from the spec content hash, so results
-  // are identical with or without --trace / --check / --shards.
+  // are identical with or without --trace / --check.
   config.capture_trace = !scale.trace.empty();
   config.check_invariants = scale.check_invariants;
-  config.shards = scale.shards;
   // Faults change behaviour and fold into the hash when non-empty.
   config.faults = scale.faults;
   return config;

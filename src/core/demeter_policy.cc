@@ -60,12 +60,11 @@ void DemeterPolicy::Attach(Vm& vm, GuestProcess& process, Nanos start) {
     });
   } else {
     // Ablation: HeMem/Memtis-style dedicated polling kthread.
-    vm.host().ScheduleVmEvent(vm.id(), start + config_.poll_period,
-                                [this, alive = alive_](Nanos fire) {
-                                  if (*alive) {
-                                    RunPoll(fire);
-                                  }
-                                });
+    vm.host().events().Schedule(start + config_.poll_period, [this, alive = alive_](Nanos fire) {
+      if (*alive) {
+        RunPoll(fire);
+      }
+    });
   }
 
   if (config_.classify_virtual) {
@@ -87,7 +86,7 @@ void DemeterPolicy::Attach(Vm& vm, GuestProcess& process, Nanos start) {
                            ? config_.degradation.host_round_period
                            : 3 * watchdog_period_;
   if (watchdog_armed_) {
-    vm.host().ScheduleVmEvent(vm.id(), start + watchdog_period_, [this, alive = alive_](Nanos fire) {
+    vm.host().events().Schedule(start + watchdog_period_, [this, alive = alive_](Nanos fire) {
       if (*alive) {
         RunWatchdog(fire);
       }
@@ -111,7 +110,7 @@ void DemeterPolicy::RunPoll(Nanos now) {
   }
   vm_->vcpu(0).clock_ns += cost;
   vm_->mgmt_account().Charge(TmmStage::kTracking, static_cast<Nanos>(cost));
-  vm_->host().ScheduleVmEvent(vm_->id(), now + config_.poll_period, [this, alive = alive_](Nanos fire) {
+  vm_->host().events().Schedule(now + config_.poll_period, [this, alive = alive_](Nanos fire) {
     if (*alive) {
       RunPoll(fire);
     }
@@ -219,7 +218,7 @@ void DemeterPolicy::RunEpoch(Nanos now) {
     if (crashed || fault->InStallWindow(now)) {
       ++epochs_deferred_;
       const Nanos resume = crashed ? fault->CrashWindowEnd(now) : fault->StallWindowEnd(now);
-      vm_->host().ScheduleVmEvent(vm_->id(), resume, [this, alive = alive_](Nanos fire) {
+      vm_->host().events().Schedule(resume, [this, alive = alive_](Nanos fire) {
         if (*alive) {
           RunEpoch(fire);
         }
@@ -318,7 +317,7 @@ void DemeterPolicy::RunWatchdog(Nanos now) {
     HostManageRound(now);
     next_host_round_ = now + host_round_period_;
   }
-  vm_->host().ScheduleVmEvent(vm_->id(), now + watchdog_period_, [this, alive = alive_](Nanos fire) {
+  vm_->host().events().Schedule(now + watchdog_period_, [this, alive = alive_](Nanos fire) {
     if (*alive) {
       RunWatchdog(fire);
     }
@@ -555,12 +554,12 @@ void DemeterPolicy::ScheduleNext(Nanos now) {
   if (stopped_) {
     return;
   }
-  vm_->host().ScheduleVmEvent(vm_->id(), now + config_.range.epoch_length,
-                                [this, alive = alive_](Nanos fire) {
-                                  if (*alive) {
-                                    RunEpoch(fire);
-                                  }
-                                });
+  vm_->host().events().Schedule(now + config_.range.epoch_length,
+                                  [this, alive = alive_](Nanos fire) {
+                                    if (*alive) {
+                                      RunEpoch(fire);
+                                    }
+                                  });
 }
 
 }  // namespace demeter

@@ -114,13 +114,7 @@ std::unique_ptr<TmmPolicy> MakePolicy(PolicyKind kind, const DemeterConfig& deme
   return nullptr;
 }
 
-int Machine::EventLanesFor(const MachineConfig& config) {
-  const int shards = std::clamp(config.shards, 1, kMaxShards);
-  return shards <= 1 ? 1 : shards + 1;
-}
-
-Machine::Machine(MachineConfig config)
-    : config_(config), events_(EventLanesFor(config)), rng_(config.seed) {
+Machine::Machine(MachineConfig config) : config_(config), rng_(config.seed) {
   memory_ = std::make_unique<HostMemory>(config.tiers);
   hyper_ = std::make_unique<Hypervisor>(memory_.get(), &events_);
   tracer_.set_enabled(config.capture_trace);
@@ -303,75 +297,39 @@ Nanos Machine::VmMinClock(int i) const {
   return min_clock;
 }
 
-Nanos Machine::MinActiveClock() const {
-  if (active_count_ == 0) {
-    return 0;
-  }
+void Machine::RefreshMinClock() {
   Nanos min_clock = ~static_cast<Nanos>(0);
-  for (const Shard& shard : shards_) {
-    min_clock = std::min(min_clock, shard.min_clock);  // ~0 when shard idle.
-  }
-  return min_clock;
-}
-
-void Machine::RefreshShard(int s) {
-  Shard& shard = shards_[static_cast<size_t>(s)];
-  Nanos min_clock = ~static_cast<Nanos>(0);
-  for (const int i : shard.active) {
+  for (const int i : active_) {
     min_clock = std::min(min_clock, VmMinClock(i));
   }
-  shard.min_clock = min_clock;
+  min_clock_ = min_clock;
 }
 
 void Machine::DrainEvents(Nanos until) {
-  events_.RunUntil(until);
-  const uint64_t fired = events_.TakeFiredLanes();
-  if (fired == 0) {
-    return;
-  }
-  // Host-lane events (bit 0) may advance any VM's clocks; shard-lane events
-  // (bit s+1) only touch shard s — the lane-routing contract
-  // Hypervisor::ScheduleVmEvent enforces.
-  if ((fired & 1) != 0) {
-    for (int s = 0; s < num_shards_; ++s) {
-      RefreshShard(s);
-    }
-    return;
-  }
-  for (int s = 0; s < num_shards_; ++s) {
-    if ((fired >> (s + 1)) & 1) {
-      RefreshShard(s);
-    }
+  if (events_.RunUntil(until) != 0) {
+    RefreshMinClock();
   }
 }
 
 void Machine::ActivateVm(int i) {
-  Shard& shard = shards_[static_cast<size_t>(ShardOf(i))];
-  auto pending = std::lower_bound(shard.pending_boot.begin(), shard.pending_boot.end(), i);
-  if (pending != shard.pending_boot.end() && *pending == i) {
-    shard.pending_boot.erase(pending);
+  auto pending = std::lower_bound(pending_boot_.begin(), pending_boot_.end(), i);
+  if (pending != pending_boot_.end() && *pending == i) {
+    pending_boot_.erase(pending);
   }
-  auto at = std::lower_bound(shard.active.begin(), shard.active.end(), i);
-  DEMETER_CHECK(at == shard.active.end() || *at != i) << "vm " << i << " activated twice";
-  shard.active.insert(at, i);
-  ++active_count_;
+  auto at = std::lower_bound(active_.begin(), active_.end(), i);
+  DEMETER_CHECK(at == active_.end() || *at != i) << "vm " << i << " activated twice";
+  active_.insert(at, i);
   // Adding a member can only lower the cached minimum.
-  shard.min_clock = std::min(shard.min_clock, VmMinClock(i));
+  min_clock_ = std::min(min_clock_, VmMinClock(i));
 }
 
 void Machine::DeactivateVm(int i) {
-  if (shards_.empty()) {
-    return;  // Before StartRun no membership exists.
-  }
-  const int s = ShardOf(i);
-  Shard& shard = shards_[static_cast<size_t>(s)];
-  auto at = std::lower_bound(shard.active.begin(), shard.active.end(), i);
-  if (at == shard.active.end() || *at != i) {
+  auto at = std::lower_bound(active_.begin(), active_.end(), i);
+  if (at == active_.end() || *at != i) {
     return;
   }
-  shard.active.erase(at);
-  --active_count_;
-  RefreshShard(s);  // Removing a member can raise the minimum.
+  active_.erase(at);
+  RefreshMinClock();  // Removing a member can raise the minimum.
 }
 
 void Machine::AccountOp(int i, int v, int ops_per_txn, double op_ns, Nanos clock_after) {
@@ -562,11 +520,9 @@ void Machine::FinishVm(int i, Nanos now) {
   if (setups_[static_cast<size_t>(i)].depart_on_finish) {
     RemoveVm(i, now);
   }
-  // Prefix scan over the owning shard's registry only — the full-registry
-  // snapshot-then-filter this replaces made every finish O(total metrics),
-  // which is quadratic across a dense host's worth of finishing VMs.
-  result.metrics =
-      VmRegistry(i).SnapshotPrefix("vm" + std::to_string(i) + "/", /*strip=*/true);
+  // A prefix range scan: a full snapshot-then-filter would make every
+  // finish O(total metrics), quadratic across a dense host's finishing VMs.
+  result.metrics = registry_.SnapshotPrefix("vm" + std::to_string(i) + "/", /*strip=*/true);
 }
 
 void Machine::RemoveVm(int i, Nanos now) {
@@ -627,7 +583,7 @@ void Machine::BootVm(int i, Nanos at) {
   ProvisionVm(i, at);
   // Drain the provisioning request/completion chain (same bounded horizon
   // as the phase-1 drain) before the guest starts touching memory. The VM
-  // is not in its shard's active list yet, so the drain refresh reads only
+  // is not in the active list yet, so the drain refresh reads only
   // already-running VMs.
   event_horizon_ = std::max(event_horizon_, at + 10 * kMillisecond);
   DrainEvents(event_horizon_);
@@ -667,8 +623,8 @@ void Machine::BootVm(int i, Nanos at) {
   // The machine-wide registration pass already ran (phase 4); register the
   // late policy's counters now.
   policies_[static_cast<size_t>(i)]->RegisterMetrics(
-      MetricScope(&VmRegistry(i), "vm" + std::to_string(i)).Sub("policy"));
-  // Final clocks are set; hand the VM to its shard.
+      MetricScope(&registry_, "vm" + std::to_string(i)).Sub("policy"));
+  // Final clocks are set; the VM joins the main loop.
   ActivateVm(i);
 }
 
@@ -682,15 +638,6 @@ void Machine::Run() {
 void Machine::StartRun() {
   DEMETER_CHECK(!ran_);
   ran_ = true;
-
-  // Shard setup: block-contiguous vm-id ownership, sized from the final
-  // pre-run VM count (mid-run admissions clamp into the last shard). The
-  // hypervisor routes VM-bound timers to the owner's event lane from here
-  // on; metric registration below lands in the owners' registries.
-  num_shards_ = std::clamp(config_.shards, 1, kMaxShards);
-  shard_block_ = std::max(1, (num_vms() + num_shards_ - 1) / num_shards_);
-  shards_.resize(static_cast<size_t>(num_shards_));
-  hyper_->ConfigureVmEventLanes(num_shards_, shard_block_);
 
   // Tier-shrink windows (if the fault plan schedules any) live on the same
   // event queue as everything else; arm them before time starts moving.
@@ -773,24 +720,17 @@ void Machine::StartRun() {
   }
   RegisterAllMetrics();
 
-  // Shard membership: booted VMs are active, deferred boots pend with their
-  // owner. Ascending vm-id insertion keeps both lists sorted, so shard-major
-  // iteration is global vm-id order.
-  active_count_ = 0;
+  // Membership: booted VMs are active, deferred boots pend. Ascending
+  // vm-id insertion keeps both lists sorted.
   for (int i = 0; i < num_vms(); ++i) {
-    Shard& shard = shards_[static_cast<size_t>(ShardOf(i))];
     const VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
     if (rt.booted && !rt.finished) {
-      shard.active.push_back(i);
-      ++active_count_;
+      active_.push_back(i);
     } else if (!rt.booted) {
-      shard.pending_boot.push_back(i);
+      pending_boot_.push_back(i);
     }
   }
-  for (int s = 0; s < num_shards_; ++s) {
-    RefreshShard(s);
-  }
-  events_.TakeFiredLanes();  // Phases 1-4 predate membership; start clean.
+  RefreshMinClock();
 }
 
 bool Machine::StepUntil(Nanos horizon) {
@@ -802,27 +742,21 @@ bool Machine::StepUntil(Nanos horizon) {
   // byte-identical to the pre-split code, and a Cluster stepping a host in
   // epoch slices replays exactly the same iterations.
   for (;;) {
-    bool any_active = active_count_ > 0;
-    // Boot scan over the per-shard deferred lists, shard-major — global
-    // vm-id order, exactly the old full-VM scan without the O(N) walk.
-    for (int s = 0; s < num_shards_; ++s) {
-      if (shards_[static_cast<size_t>(s)].pending_boot.empty()) {
+    bool any_active = !active_.empty();
+    // Boot scan over the deferred list in vm-id order. BootVm erases the id
+    // from the list, so iterate a scratch copy.
+    sweep_ = pending_boot_;
+    for (const int i : sweep_) {
+      VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
+      if (rt.booted || rt.finished) {
         continue;
       }
-      // BootVm erases the id from the list; iterate a scratch copy.
-      sweep_ = shards_[static_cast<size_t>(s)].pending_boot;
-      for (const int i : sweep_) {
-        VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
-        if (rt.booted || rt.finished) {
-          continue;
-        }
-        const Nanos due = setups_[static_cast<size_t>(i)].boot_at;
-        if (!any_active) {
-          BootVm(i, std::max(due, event_horizon_));
-          any_active = true;
-        } else if (MinActiveClock() >= due) {
-          BootVm(i, MinActiveClock());
-        }
+      const Nanos due = setups_[static_cast<size_t>(i)].boot_at;
+      if (!any_active) {
+        BootVm(i, std::max(due, event_horizon_));
+        any_active = true;
+      } else if (MinActiveClock() >= due) {
+        BootVm(i, MinActiveClock());
       }
     }
     if (!any_active) {
@@ -831,28 +765,21 @@ bool Machine::StepUntil(Nanos horizon) {
     if (MinActiveClock() >= horizon) {
       return true;  // Barrier reached with VMs still active.
     }
-    // Quanta, shard-major over the active lists — again global vm-id order.
-    // Each shard's cached min clock is recomputed as its VMs run; a VM that
-    // finishes mid-quantum drops out of `active` (hence the scratch copy)
-    // and out of the recomputed minimum.
-    for (int s = 0; s < num_shards_; ++s) {
-      Shard& shard = shards_[static_cast<size_t>(s)];
-      if (shard.active.empty()) {
-        continue;
-      }
-      sweep_ = shard.active;
-      Nanos min_clock = ~static_cast<Nanos>(0);
-      for (const int i : sweep_) {
-        const VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
-        if (rt.booted && !rt.finished) {
-          RunVmQuantum(i);
-          if (!rt.finished) {
-            min_clock = std::min(min_clock, VmMinClock(i));
-          }
+    // Quanta in vm-id order. The cached min clock is recomputed as the VMs
+    // run; a VM that finishes mid-quantum drops out of active_ (hence the
+    // scratch copy) and out of the recomputed minimum.
+    sweep_ = active_;
+    Nanos min_clock = ~static_cast<Nanos>(0);
+    for (const int i : sweep_) {
+      const VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
+      if (rt.booted && !rt.finished) {
+        RunVmQuantum(i);
+        if (!rt.finished) {
+          min_clock = std::min(min_clock, VmMinClock(i));
         }
       }
-      shard.min_clock = min_clock;
     }
+    min_clock_ = min_clock;
     const Nanos step_horizon = MinActiveClock();
     event_horizon_ = std::max(event_horizon_, step_horizon);
     DrainEvents(step_horizon);
@@ -873,9 +800,7 @@ void Machine::RegisterAllMetrics() {
 }
 
 void Machine::RegisterVmMetricsFor(int i) {
-  // Into the owning shard's registry: registration and per-VM snapshots
-  // never contend on (or scan) the host registry.
-  MetricScope scope(&VmRegistry(i), "vm" + std::to_string(i));
+  MetricScope scope(&registry_, "vm" + std::to_string(i));
   vm(i).RegisterMetrics(scope);
   if (policies_[static_cast<size_t>(i)] != nullptr) {
     policies_[static_cast<size_t>(i)]->RegisterMetrics(scope.Sub("policy"));
@@ -1039,19 +964,6 @@ int Machine::AdoptVm(MigratedVm&& moved, Nanos now, double extra_downtime_ns) {
   DrainEvents(event_horizon_);
   MaybeAuditInvariants("post-adopt");
   return i;
-}
-
-MetricSnapshot Machine::SnapshotMetrics() const {
-  std::vector<MetricSnapshot> parts;
-  parts.reserve(shards_.size() + 1);
-  parts.push_back(registry_.Snapshot());
-  for (const Shard& shard : shards_) {
-    parts.push_back(shard.registry.Snapshot());
-  }
-  // Names are disjoint ("host/..." vs per-VM "vm<i>/..." trees split by
-  // owner), so the merged, name-sorted result is byte-identical to the old
-  // single flat registry.
-  return MergeMetricSnapshots(std::move(parts));
 }
 
 double Machine::TotalMgmtCores() const {

@@ -9,7 +9,6 @@
 #ifndef DEMETER_SRC_HARNESS_MACHINE_H_
 #define DEMETER_SRC_HARNESS_MACHINE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -88,13 +87,6 @@ struct MachineConfig {
   // from the runner's spec content hash. The scalar path is kept for that
   // test and for bisecting any future divergence.
   bool batched_execution = true;
-  // Number of shards per-VM state is partitioned into (clamped to
-  // [1, kMaxShards]). Ownership is block-contiguous by vm id, so advancing
-  // the shards in shard-major order replays the exact vm-id order of the
-  // unsharded loop: sharding is an indexing/cost strategy, never a
-  // reordering, and results are byte-identical for every value. Like
-  // batched_execution it is excluded from the runner's spec content hash.
-  int shards = 1;
 };
 
 // Hard cap on a VM's throughput-timeline length. A vCPU parked far past its
@@ -178,10 +170,6 @@ struct MigratedVm {
 
 class Machine {
  public:
-  // One event-queue lane per shard plus the host lane must fit in the
-  // queue's 64-lane fired-set word.
-  static constexpr int kMaxShards = 63;
-
   explicit Machine(MachineConfig config);
   ~Machine();
 
@@ -227,17 +215,16 @@ class Machine {
   void FinishRun();
   static constexpr Nanos kNoHorizon = ~static_cast<Nanos>(0);
 
-  // Minimum vCPU clock over booted, unfinished VMs (0 when none). O(shards):
-  // reads the per-shard cached minima, which the main loop keeps exact at
-  // every host-interaction point.
-  Nanos MinActiveClock() const;
+  // Minimum vCPU clock over booted, unfinished VMs (0 when none). O(1): a
+  // cached minimum the main loop keeps exact at every point it is read.
+  Nanos MinActiveClock() const { return active_.empty() ? 0 : min_clock_; }
   // True while VM i is booted and has not finished/departed.
   bool VmActive(int i) const {
     const VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
     return rt.booted && !rt.finished;
   }
-  // O(1): maintained on every boot/finish/depart/extract transition.
-  int NumActiveVms() const { return active_count_; }
+  // O(1): the active list changes on every boot/finish/depart/extract.
+  int NumActiveVms() const { return static_cast<int>(active_.size()); }
   const VmSetup& vm_setup(int i) const { return setups_[static_cast<size_t>(i)]; }
 
   // ---- live migration -----------------------------------------------------
@@ -275,13 +262,8 @@ class Machine {
   double TotalMgmtCores() const;
   double MeanElapsedSeconds() const;
 
-  // The host-side registry ("host/..." trees). Per-VM metrics live in the
-  // registry of the shard that owns the VM — SnapshotMetrics() merges them.
-  MetricRegistry& metrics_registry() { return registry_; }
-  // Full snapshot ("host/..." + every "vm<i>/..."), merged across the host
-  // registry and every shard registry into one name-sorted snapshot —
-  // byte-identical to the flat single-registry layout.
-  MetricSnapshot SnapshotMetrics() const;
+  // Full name-sorted snapshot: "host/..." plus every "vm<i>/..." tree.
+  MetricSnapshot SnapshotMetrics() const { return registry_.Snapshot(); }
 
   // The machine's tracer (enabled iff config.capture_trace). Events use
   // VM ids as pids. TakeTrace moves the recorded events out (e.g. into a
@@ -334,39 +316,14 @@ class Machine {
     TlbStats migrated_tlb;
   };
 
-  // A shard owns a block-contiguous range of vm ids: their membership lists,
-  // the cached minimum clock over its active VMs, and the registry their
-  // "vm<i>/..." metrics live in (no contention on the host registry as VM
-  // counts grow; per-VM snapshots scan only the owning shard). Shards
-  // advance independently between host-interaction points — balloon ops,
-  // TMM migration batches, PMI drains, fault windows, overcommit ticks —
-  // which all cross shards through the host event lane, where the merge is
-  // (time, schedule-order) ordered and therefore deterministic.
-  struct Shard {
-    std::vector<int> active;        // Booted, unfinished; sorted by vm id.
-    std::vector<int> pending_boot;  // Deferred boot_at VMs; sorted by vm id.
-    Nanos min_clock = ~static_cast<Nanos>(0);  // Over `active`; ~0 if empty.
-    MetricRegistry registry;
-  };
-
-  // Lanes the event queue needs: one per shard plus the shared host lane
-  // (lane 0); single-shard machines keep the classic one-lane queue.
-  static int EventLanesFor(const MachineConfig& config);
-  int ShardOf(int i) const {
-    return std::min(i / shard_block_, num_shards_ - 1);
-  }
-  MetricRegistry& VmRegistry(int i) {
-    return shards_[static_cast<size_t>(ShardOf(i))].registry;
-  }
-  // Drains events to `until`, then refreshes the cached min clocks of
-  // exactly the shards whose lanes fired (a host-lane fire conservatively
-  // refreshes all of them — host events may touch any VM).
+  // Drains events to `until`; if any callback fired (it may have advanced a
+  // vCPU clock), recomputes the cached min clock.
   void DrainEvents(Nanos until);
-  // Recomputes a shard's cached min clock from its active VMs' vCPUs.
-  void RefreshShard(int s);
+  // Recomputes the cached min clock from the active VMs' vCPUs.
+  void RefreshMinClock();
   Nanos VmMinClock(int i) const;
-  // Membership transitions; both keep active_count_ and the owning shard's
-  // cached min clock exact. DeactivateVm is idempotent.
+  // Membership transitions; both keep the cached min clock exact.
+  // DeactivateVm is idempotent.
   void ActivateVm(int i);
   void DeactivateVm(int i);
 
@@ -412,12 +369,11 @@ class Machine {
   // admissions (AdmitVm/AdoptVm) grow the container after registration.
   std::deque<VmRuntime> runtimes_;
   std::vector<VmRunResult> results_;
-  // Sized and populated by StartRun (vm-id blocks need the final VM count);
-  // VMs admitted later clamp into the last shard.
-  std::vector<Shard> shards_;
-  int num_shards_ = 1;
-  int shard_block_ = 1;  // Ids per shard in the contiguous ownership map.
-  int active_count_ = 0;
+  // Membership, populated by StartRun and kept sorted by vm id, so walking
+  // a list is global vm-id order.
+  std::vector<int> active_;        // Booted, unfinished.
+  std::vector<int> pending_boot_;  // Deferred boot_at VMs, not yet booted.
+  Nanos min_clock_ = ~static_cast<Nanos>(0);  // Over active_; ~0 if empty.
   std::vector<int> sweep_;  // Scratch: membership list copy for iteration.
   Rng rng_;
   bool ran_ = false;

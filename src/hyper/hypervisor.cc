@@ -20,24 +20,6 @@ Vm& Hypervisor::CreateVm(const VmConfig& config) {
   return *vms_.back();
 }
 
-void Hypervisor::ConfigureVmEventLanes(int num_shards, int ids_per_shard) {
-  DEMETER_CHECK_GE(ids_per_shard, 1);
-  DEMETER_CHECK_LT(num_shards, EventQueue::kMaxLanes);
-  DEMETER_CHECK(num_shards <= 1 || events_->lanes() >= num_shards + 1)
-      << "event queue has " << events_->lanes() << " lanes, need "
-      << num_shards + 1;
-  vm_lane_shards_ = num_shards;
-  vm_lane_ids_per_shard_ = ids_per_shard;
-}
-
-uint64_t Hypervisor::ScheduleVmEvent(int vm_id, Nanos when, EventQueue::Callback cb) {
-  if (vm_lane_shards_ <= 1) {
-    return events_->Schedule(when, std::move(cb));
-  }
-  const int shard = std::min(vm_id / vm_lane_ids_per_shard_, vm_lane_shards_ - 1);
-  return events_->ScheduleOn(1 + shard, when, std::move(cb));
-}
-
 int Hypervisor::NodeOfGpa(const Vm& vm, PageNum gpa) const {
   const uint64_t span = vm.config().total_pages();
   const int node = static_cast<int>(gpa / span);

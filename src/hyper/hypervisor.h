@@ -56,23 +56,6 @@ class Hypervisor {
   HostMemory& memory() { return *memory_; }
   EventQueue& events() { return *events_; }
 
-  // ---- shard lane routing --------------------------------------------------
-  // VM-bound timers (TMM policy polls and migration batches, which advance
-  // only their own VM's vCPU clocks) are scheduled through here so the event
-  // queue can tag them with the lane of the shard that owns the VM. The lane
-  // never changes fire order — it only lets the sharded harness skip
-  // refreshing cached per-shard clocks for lanes that stayed quiet. Events
-  // that touch cross-VM host state (balloon queues, virtqueue doorbells,
-  // overcommit ticks, shrink windows, QoS) keep using events().Schedule(),
-  // the host lane: those are the explicit host-interaction points.
-  //
-  // Unconfigured (num_shards <= 1, the default), everything lands on the
-  // host lane — direct Hypervisor users and single-shard machines need no
-  // setup. `ids_per_shard` is the block size of the contiguous vm-id →
-  // shard map; ids past the last block clamp into the final shard.
-  void ConfigureVmEventLanes(int num_shards, int ids_per_shard);
-  uint64_t ScheduleVmEvent(int vm_id, Nanos when, EventQueue::Callback cb);
-
   Vm& CreateVm(const VmConfig& config);
   int num_vms() const { return static_cast<int>(vms_.size()); }
   Vm& vm(int i) { return *vms_[static_cast<size_t>(i)]; }
@@ -210,8 +193,6 @@ class Hypervisor {
 
   HostMemory* memory_;
   EventQueue* events_;
-  int vm_lane_shards_ = 1;        // <= 1: every VM event on the host lane.
-  int vm_lane_ids_per_shard_ = 1;
   Tracer* tracer_ = nullptr;
   FaultInjector* fault_injector_ = nullptr;
   std::unique_ptr<SwapDevice> swap_;

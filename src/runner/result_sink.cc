@@ -1,9 +1,19 @@
 #include "src/runner/result_sink.h"
 
+#include <cerrno>
+#include <cstring>
+
 #include "src/base/logging.h"
 #include "src/telemetry/json.h"
 
 namespace demeter {
+namespace {
+
+void CheckWritten(bool ok, const std::string& path) {
+  DEMETER_CHECK(ok) << "cannot write " << path << ": " << std::strerror(errno);
+}
+
+}  // namespace
 
 std::string JsonLinesSink::ToJsonLines(const ExperimentResult& result) {
   std::string out;
@@ -96,11 +106,11 @@ std::string JsonLinesSink::ToJsonLines(const ExperimentResult& result) {
 }
 
 JsonLinesSink::JsonLinesSink(const std::string& path)
-    : out_(std::fopen(path.c_str(), "w")), owns_(true) {
+    : out_(std::fopen(path.c_str(), "w")), path_(path), owns_(true) {
   DEMETER_CHECK(out_ != nullptr) << "cannot open " << path << " for writing";
 }
 
-JsonLinesSink::JsonLinesSink(std::FILE* out) : out_(out), owns_(false) {
+JsonLinesSink::JsonLinesSink(std::FILE* out) : out_(out), path_("<stream>"), owns_(false) {
   DEMETER_CHECK(out_ != nullptr);
 }
 
@@ -113,15 +123,16 @@ JsonLinesSink::~JsonLinesSink() {
 
 void JsonLinesSink::Consume(const ExperimentResult& result) {
   const std::string lines = ToJsonLines(result);
-  std::fwrite(lines.data(), 1, lines.size(), out_);
+  CheckWritten(std::fwrite(lines.data(), 1, lines.size(), out_) == lines.size(), path_);
 }
 
 void JsonLinesSink::Finish() {
-  std::fflush(out_);
+  CheckWritten(std::fflush(out_) == 0, path_);
   if (owns_) {
-    std::fclose(out_);
+    const bool closed = std::fclose(out_) == 0;
     out_ = nullptr;
     owns_ = false;
+    CheckWritten(closed, path_);
   }
 }
 

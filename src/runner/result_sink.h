@@ -37,6 +37,8 @@ class JsonLinesSink : public ResultSink {
   explicit JsonLinesSink(std::FILE* out);
   ~JsonLinesSink() override;
 
+  // Both abort, naming the path and errno, when a write, flush or close
+  // fails: a full disk must not truncate results silently.
   void Consume(const ExperimentResult& result) override;
   void Finish() override;
 
@@ -46,6 +48,7 @@ class JsonLinesSink : public ResultSink {
 
  private:
   std::FILE* out_ = nullptr;
+  std::string path_;  // For error messages.
   bool owns_ = false;
 };
 

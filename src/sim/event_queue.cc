@@ -3,27 +3,12 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/base/logging.h"
-
 namespace demeter {
 
-EventQueue::EventQueue(int lanes) {
-  DEMETER_CHECK(lanes >= 1 && lanes <= kMaxLanes)
-      << "EventQueue lanes must be in [1, " << kMaxLanes << "], got " << lanes;
-  lanes_.resize(static_cast<size_t>(lanes));
-}
-
 uint64_t EventQueue::Schedule(Nanos when, Callback cb) {
-  return ScheduleOn(0, when, std::move(cb));
-}
-
-uint64_t EventQueue::ScheduleOn(int lane, Nanos when, Callback cb) {
-  DEMETER_CHECK(lane >= 0 && lane < lanes())
-      << "lane " << lane << " out of range [0, " << lanes() << ")";
   const uint64_t id = next_id_++;
-  std::vector<Event>& heap = lanes_[static_cast<size_t>(lane)];
-  heap.push_back(Event{when, next_seq_++, id, std::move(cb)});
-  std::push_heap(heap.begin(), heap.end(), Later{});
+  heap_.push_back(Event{when, next_seq_++, id, std::move(cb)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   live_.insert(id);
   return id;
 }
@@ -38,47 +23,16 @@ bool EventQueue::Cancel(uint64_t id) {
   return true;
 }
 
-Nanos EventQueue::NextEventTime() const {
-  Nanos next = kNoEvent;
-  for (const std::vector<Event>& heap : lanes_) {
-    if (!heap.empty() && heap.front().when < next) {
-      next = heap.front().when;
-    }
-  }
-  return next;
-}
-
 size_t EventQueue::RunUntil(Nanos until) {
   size_t fired = 0;
-  for (;;) {
-    // Pop the globally smallest (when, seq) top. Sequence numbers are unique
-    // across lanes, so this replays the exact single-heap order regardless
-    // of how events were distributed over lanes.
-    std::vector<Event>* best = nullptr;
-    size_t best_lane = 0;
-    for (size_t l = 0; l < lanes_.size(); ++l) {
-      std::vector<Event>& heap = lanes_[l];
-      if (heap.empty()) {
-        continue;
-      }
-      const Event& top = heap.front();
-      if (best == nullptr || top.when < best->front().when ||
-          (top.when == best->front().when && top.seq < best->front().seq)) {
-        best = &heap;
-        best_lane = l;
-      }
-    }
-    if (best == nullptr || best->front().when > until) {
-      break;
-    }
-    std::pop_heap(best->begin(), best->end(), Later{});
-    Event ev = std::move(best->back());
-    best->pop_back();
+  while (!heap_.empty() && heap_.front().when <= until) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Event ev = std::move(heap_.back());
+    heap_.pop_back();
     if (cancelled_.erase(ev.id) > 0) {
       continue;
     }
     live_.erase(ev.id);
-    fired_lanes_ |= uint64_t{1} << best_lane;
     ++fired;
     ev.cb(ev.when);
   }

@@ -4,16 +4,6 @@
 // monotonically increasing sequence number breaks ties), so simulation runs
 // are exactly reproducible.
 //
-// Lanes: the queue is internally split into one or more lanes, each with its
-// own heap. Lane 0 is the host lane (the default for Schedule()); callers
-// that know an event only touches one shard of per-VM state route it to that
-// shard's lane with ScheduleOn(). RunUntil() merges the lanes by popping the
-// globally smallest (when, seq) top each step, so the fire order is
-// *identical* to a single-heap queue for any lane count — lanes are an
-// ownership index, not a reordering. The payoff is TakeFiredLanes(): after a
-// drain the caller learns exactly which lanes fired callbacks and can skip
-// refreshing cached per-shard state for the lanes that stayed quiet.
-//
 // Cancellation is exact: ids are unique for the queue's lifetime (a monotone
 // counter doubles as a generation id), and the queue tracks the live id set
 // in a hash set. Cancel() on an id that already fired, was already
@@ -28,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "src/base/units.h"
@@ -39,41 +28,26 @@ class EventQueue {
  public:
   using Callback = std::function<void(Nanos now)>;
 
-  // At most 64 lanes so a fired-lane set fits in one word.
-  static constexpr int kMaxLanes = 64;
-
-  explicit EventQueue(int lanes = 1);
-
-  // Schedules `cb` to run at virtual time `when` on the host lane (lane 0).
-  // Returns an id that can be used to cancel the event before it fires.
+  // Schedules `cb` to run at virtual time `when`. Returns an id that can be
+  // used to cancel the event before it fires.
   uint64_t Schedule(Nanos when, Callback cb);
 
-  // Schedules on a specific lane. The lane changes nothing about *when* the
-  // event fires relative to others — only which bit TakeFiredLanes() sets.
-  uint64_t ScheduleOn(int lane, Nanos when, Callback cb);
-
   // Cancels a pending event. Returns false (and is a no-op) if the event
-  // already fired, was already cancelled, or the id was never issued.
-  // Lane-agnostic: the entry stays in its heap and is dropped at pop time.
+  // already fired, was already cancelled, or the id was never issued. The
+  // entry stays in the heap and is dropped at pop time.
   bool Cancel(uint64_t id);
 
-  // Runs all events with time <= until, in (time, seq) order across every
-  // lane. Events may schedule further events; those also run if due.
-  // Returns the number of events fired.
+  // Runs all events with time <= until, in (time, seq) order. Events may
+  // schedule further events; those also run if due. Returns the number of
+  // callbacks fired; cancelled entries dropped on the way do not count.
   size_t RunUntil(Nanos until);
 
-  // Time of the earliest pending event across all lanes, or kNoEvent when
-  // empty. Cancelled events may still occupy a heap top, so this is a lower
-  // bound — safe for lock-step advancement.
+  // Time of the earliest pending event, or kNoEvent when empty. Cancelled
+  // events may still occupy the heap top, so this is a lower bound — safe
+  // for lock-step advancement.
   static constexpr Nanos kNoEvent = ~static_cast<Nanos>(0);
-  Nanos NextEventTime() const;
+  Nanos NextEventTime() const { return heap_.empty() ? kNoEvent : heap_.front().when; }
 
-  // Bitmask of lanes whose callbacks fired since the last call (bit L for
-  // lane L); clears the set. Cancelled entries discarded at pop time do not
-  // count as fires.
-  uint64_t TakeFiredLanes() { return std::exchange(fired_lanes_, 0); }
-
-  int lanes() const { return static_cast<int>(lanes_.size()); }
   bool empty() const { return live_.empty(); }
   size_t size() const { return live_.size(); }
 
@@ -96,10 +70,9 @@ class EventQueue {
   // const so popping an event used to copy its std::function (an allocation
   // per fired event on the hottest simulation loop); here the event is moved
   // out.
-  std::vector<std::vector<Event>> lanes_;
+  std::vector<Event> heap_;
   std::unordered_set<uint64_t> live_;       // Scheduled, not fired/cancelled.
-  std::unordered_set<uint64_t> cancelled_;  // Cancelled, still in a heap.
-  uint64_t fired_lanes_ = 0;
+  std::unordered_set<uint64_t> cancelled_;  // Cancelled, still in the heap.
   uint64_t next_seq_ = 0;
   uint64_t next_id_ = 1;
 };

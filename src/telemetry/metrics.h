@@ -109,11 +109,6 @@ class MetricRegistry {
   MetricRegistry() = default;
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
-  // Movable so sharded owners can keep registries in contiguous storage.
-  // Cell addresses are map nodes, so references handed out before the move
-  // stay valid afterwards.
-  MetricRegistry(MetricRegistry&&) = default;
-  MetricRegistry& operator=(MetricRegistry&&) = default;
 
   // ---- Owned metrics (registry is the storage) -------------------------
   // Get-or-create; the returned reference is stable for the registry's

@@ -1,5 +1,7 @@
 #include "src/telemetry/tracer.h"
 
+#include <cerrno>
+#include <cstring>
 #include <set>
 #include <utility>
 
@@ -172,8 +174,10 @@ void WriteChromeTraceFile(const std::string& path, const std::vector<NamedTrace>
   std::FILE* out = std::fopen(path.c_str(), "w");
   DEMETER_CHECK(out != nullptr) << "cannot open " << path << " for writing";
   const std::string json = ChromeTraceJson(traces);
-  std::fwrite(json.data(), 1, json.size(), out);
-  std::fclose(out);
+  // fclose flushes, so a full disk can surface at either call.
+  const bool written = std::fwrite(json.data(), 1, json.size(), out) == json.size();
+  const bool closed = std::fclose(out) == 0;
+  DEMETER_CHECK(written && closed) << "cannot write " << path << ": " << std::strerror(errno);
 }
 
 }  // namespace demeter

@@ -103,7 +103,8 @@ inline constexpr int kTracePidStride = 100;
 // format's microseconds with fixed 3-decimal formatting (ns resolution).
 std::string ChromeTraceJson(const std::vector<NamedTrace>& traces);
 
-// Writes ChromeTraceJson to `path` (truncates); aborts if unwritable.
+// Writes ChromeTraceJson to `path` (truncates); aborts, naming the path and
+// errno, if it cannot open, write or close the file.
 void WriteChromeTraceFile(const std::string& path, const std::vector<NamedTrace>& traces);
 
 }  // namespace demeter

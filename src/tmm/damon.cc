@@ -15,18 +15,17 @@ void DamonPolicy::Attach(Vm& vm, GuestProcess& process, Nanos start) {
   vm_ = &vm;
   process_ = &process;
   SyncRegions();
-  vm.host().ScheduleVmEvent(vm.id(), start + config_.sample_interval,
-                              [this, alive = alive_](Nanos fire) {
-                                if (*alive) {
-                                  RunSample(fire);
-                                }
-                              });
-  vm.host().ScheduleVmEvent(vm.id(), start + config_.aggregation_interval,
-                              [this, alive = alive_](Nanos fire) {
-                                if (*alive) {
-                                  RunAggregation(fire);
-                                }
-                              });
+  vm.host().events().Schedule(start + config_.sample_interval, [this, alive = alive_](Nanos fire) {
+    if (*alive) {
+      RunSample(fire);
+    }
+  });
+  vm.host().events().Schedule(start + config_.aggregation_interval,
+                                [this, alive = alive_](Nanos fire) {
+                                  if (*alive) {
+                                    RunAggregation(fire);
+                                  }
+                                });
 }
 
 void DamonPolicy::SyncRegions() {
@@ -67,12 +66,11 @@ void DamonPolicy::RunSample(Nanos now) {
   }
   vm_->vcpu(0).clock_ns += cost;
   vm_->mgmt_account().Charge(TmmStage::kTracking, static_cast<Nanos>(cost));
-  vm_->host().ScheduleVmEvent(vm_->id(), now + config_.sample_interval,
-                                [this, alive = alive_](Nanos fire) {
-                                  if (*alive) {
-                                    RunSample(fire);
-                                  }
-                                });
+  vm_->host().events().Schedule(now + config_.sample_interval, [this, alive = alive_](Nanos fire) {
+    if (*alive) {
+      RunSample(fire);
+    }
+  });
 }
 
 void DamonPolicy::SplitAndMerge() {
@@ -197,12 +195,12 @@ void DamonPolicy::RunAggregation(Nanos now) {
   vm_->mgmt_account().Charge(TmmStage::kMigration, static_cast<Nanos>(migrate_ns));
   TraceMigrationBatch(*vm_, name(), now, migrate_ns, total_promoted_ - promoted_before,
                       total_demoted_ - demoted_before);
-  vm_->host().ScheduleVmEvent(vm_->id(), now + config_.aggregation_interval,
-                                [this, alive = alive_](Nanos fire) {
-                                  if (*alive) {
-                                    RunAggregation(fire);
-                                  }
-                                });
+  vm_->host().events().Schedule(now + config_.aggregation_interval,
+                                  [this, alive = alive_](Nanos fire) {
+                                    if (*alive) {
+                                      RunAggregation(fire);
+                                    }
+                                  });
 }
 
 }  // namespace demeter

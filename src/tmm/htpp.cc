@@ -55,7 +55,7 @@ void HTppPolicy::RunScan(Nanos now) {
   for (size_t f = 1; f <= extra_flushes; ++f) {
     const Nanos when = now + static_cast<Nanos>(f) * config_.scan_period /
                                  static_cast<Nanos>(extra_flushes + 1);
-    vm_->host().ScheduleVmEvent(vm_->id(), when, [this, alive = alive_](Nanos) {
+    vm_->host().events().Schedule(when, [this, alive = alive_](Nanos) {
       if (*alive && !stopped_) {
         vm_->FullFlushAll();
       }
@@ -158,7 +158,7 @@ void HTppPolicy::ScheduleNext(Nanos now) {
   if (stopped_) {
     return;
   }
-  vm_->host().ScheduleVmEvent(vm_->id(), now + config_.scan_period, [this, alive = alive_](Nanos fire) {
+  vm_->host().events().Schedule(now + config_.scan_period, [this, alive = alive_](Nanos fire) {
     if (*alive) {
       RunScan(fire);
     }

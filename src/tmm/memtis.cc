@@ -42,17 +42,16 @@ void MemtisPolicy::Attach(Vm& vm, GuestProcess& process, Nanos start) {
       }
     });
   }
-  vm.host().ScheduleVmEvent(vm.id(), start + config_.poll_period, [this, alive = alive_](Nanos fire) {
+  vm.host().events().Schedule(start + config_.poll_period, [this, alive = alive_](Nanos fire) {
     if (*alive) {
       RunPoll(fire);
     }
   });
-  vm.host().ScheduleVmEvent(vm.id(), start + config_.classify_period,
-                              [this, alive = alive_](Nanos fire) {
-                                if (*alive) {
-                                  RunClassify(fire);
-                                }
-                              });
+  vm.host().events().Schedule(start + config_.classify_period, [this, alive = alive_](Nanos fire) {
+    if (*alive) {
+      RunClassify(fire);
+    }
+  });
 }
 
 void MemtisPolicy::RunPoll(Nanos now) {
@@ -73,7 +72,7 @@ void MemtisPolicy::RunPoll(Nanos now) {
   }
   vm_->vcpu(0).clock_ns += cost;  // The kthread occupies a vCPU.
   vm_->mgmt_account().Charge(TmmStage::kTracking, static_cast<Nanos>(cost));
-  vm_->host().ScheduleVmEvent(vm_->id(), now + config_.poll_period, [this, alive = alive_](Nanos fire) {
+  vm_->host().events().Schedule(now + config_.poll_period, [this, alive = alive_](Nanos fire) {
     if (*alive) {
       RunPoll(fire);
     }
@@ -149,12 +148,11 @@ void MemtisPolicy::RunClassify(Nanos now) {
   vm_->mgmt_account().Charge(TmmStage::kMigration, static_cast<Nanos>(migrate_ns));
   TraceMigrationBatch(*vm_, name(), now, migrate_ns, total_promoted_ - promoted_before,
                       total_demoted_ - demoted_before);
-  vm_->host().ScheduleVmEvent(vm_->id(), now + config_.classify_period,
-                                [this, alive = alive_](Nanos fire) {
-                                  if (*alive) {
-                                    RunClassify(fire);
-                                  }
-                                });
+  vm_->host().events().Schedule(now + config_.classify_period, [this, alive = alive_](Nanos fire) {
+    if (*alive) {
+      RunClassify(fire);
+    }
+  });
 }
 
 }  // namespace demeter

@@ -143,7 +143,7 @@ void TppPolicy::ScheduleNext(Nanos now) {
   if (stopped_) {
     return;
   }
-  vm_->host().ScheduleVmEvent(vm_->id(), now + config_.scan_period, [this, alive = alive_](Nanos fire) {
+  vm_->host().events().Schedule(now + config_.scan_period, [this, alive = alive_](Nanos fire) {
     if (*alive) {
       RunScan(fire);
     }

@@ -137,18 +137,18 @@ TEST(DeterminismFaulted, FaultSeedChangesDecisions) {
   EXPECT_NE(a.elapsed_s, b.elapsed_s);
 }
 
-// Sharding is an ownership structure, not a schedule: the shard count must
-// be invisible down to the last byte of the metrics JSON, including under
-// lifecycle churn (deferred boots, departures) and faults. This is the
-// guarantee that lets bench/dense_host pick shards for locality while every
-// pinned baseline stays valid.
-std::string ShardedMetricsJson(int shards, int vms, uint64_t seed,
-                               const std::string& fault_spec = "") {
+// Observability is pure: capturing a trace and auditing invariants after
+// every event drain must not move a single byte of the full metrics JSON,
+// on a dense host with lifecycle churn (deferred boots, departures) and
+// under faults. `observed` turns both on at once.
+std::string ChurnyHostMetricsJson(bool observed, int vms, uint64_t seed,
+                                  const std::string& fault_spec = "") {
   MachineConfig host;
   host.tiers = {TierSpec::LocalDram(2 * kMiB * static_cast<uint64_t>(vms)),
                 TierSpec::Pmem(12 * kMiB * static_cast<uint64_t>(vms))};
   host.seed = seed;
-  host.shards = shards;
+  host.capture_trace = observed;
+  host.check_invariants = observed;
   if (!fault_spec.empty()) {
     const auto plan = FaultPlan::Parse(fault_spec);
     EXPECT_TRUE(plan.has_value()) << fault_spec;
@@ -166,8 +166,8 @@ std::string ShardedMetricsJson(int shards, int vms, uint64_t seed,
     setup.policy_period = 15 * kMillisecond;
     setup.demeter.range.epoch_length = 10 * kMillisecond;
     setup.demeter.sample_period = 97;
-    // Churn: every fourth VM boots late (crossing shard refresh paths),
-    // every third departs on finish (exercising DeactivateVm mid-run).
+    // Churn: every fourth VM boots late, every third departs on finish
+    // (exercising DeactivateVm mid-run).
     if (v % 4 == 3) {
       setup.boot_at = 5 * kMillisecond * static_cast<Nanos>(1 + v % 3);
     }
@@ -175,22 +175,21 @@ std::string ShardedMetricsJson(int shards, int vms, uint64_t seed,
     machine.AddVm(setup);
   }
   machine.Run();
+  // Not a vacuous pass: the observed run really traced.
+  EXPECT_EQ(machine.TakeTrace().empty(), !observed);
   std::string json;
   machine.SnapshotMetrics().AppendJson(json);
   EXPECT_FALSE(json.empty());
   return json;
 }
 
-TEST(DeterminismSharded, ShardCountIsByteInvisibleAt64Vms) {
-  const std::string one = ShardedMetricsJson(1, 64, 42);
-  EXPECT_EQ(one, ShardedMetricsJson(4, 64, 42));
-  EXPECT_EQ(one, ShardedMetricsJson(8, 64, 42));
+TEST(DeterminismObserved, TraceAndChecksAreByteInvisibleAt64Vms) {
+  EXPECT_EQ(ChurnyHostMetricsJson(false, 64, 42), ChurnyHostMetricsJson(true, 64, 42));
 }
 
-TEST(DeterminismSharded, ShardCountIsByteInvisibleUnderFaults) {
-  const std::string one = ShardedMetricsJson(1, 64, 42, kFaultSpec);
-  EXPECT_EQ(one, ShardedMetricsJson(4, 64, 42, kFaultSpec));
-  EXPECT_EQ(one, ShardedMetricsJson(8, 64, 42, kFaultSpec));
+TEST(DeterminismObserved, TraceAndChecksAreByteInvisibleUnderFaults) {
+  EXPECT_EQ(ChurnyHostMetricsJson(false, 64, 42, kFaultSpec),
+            ChurnyHostMetricsJson(true, 64, 42, kFaultSpec));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -241,6 +242,33 @@ TEST(RunnerDeterminismTest, SeedIndependentOfSubmissionOrder) {
     EXPECT_EQ(fwd.seed, bwd.seed);
     EXPECT_EQ(fwd.vms[0].elapsed_s, bwd.vms[0].elapsed_s);
   }
+}
+
+// ------------------------------------------------------------ Result output
+
+// A full disk used to lose results silently: the sink ignored what fwrite,
+// fflush and fclose returned, and the bench still exited 0.
+TEST(JsonLinesSinkDeathTest, WriteErrorAbortsNamingThePath) {
+  std::FILE* probe = std::fopen("/dev/full", "w");
+  if (probe == nullptr) {
+    GTEST_SKIP() << "/dev/full cannot be opened";
+  }
+  std::fclose(probe);
+  // This binary starts runner threads; re-exec instead of forking a
+  // threaded process.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ExperimentResult result;
+  result.spec.name = "full-disk";
+  result.ok = false;
+  result.error = "never written";
+  ASSERT_FALSE(JsonLinesSink::ToJsonLines(result).empty());
+  EXPECT_DEATH(
+      {
+        JsonLinesSink sink("/dev/full");
+        sink.Consume(result);
+        sink.Finish();
+      },
+      "cannot write /dev/full");
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -391,6 +392,21 @@ TEST(ChromeTrace, EmptyTraceListIsValid) {
   const std::string json = ChromeTraceJson({});
   EXPECT_EQ(json.find("{\"displayTimeUnit\":"), 0u);
   EXPECT_NE(json.find("\"traceEvents\":[]"), std::string::npos);
+}
+
+TEST(ChromeTraceDeathTest, WriteErrorAbortsNamingThePath) {
+  std::FILE* probe = std::fopen("/dev/full", "w");
+  if (probe == nullptr) {
+    GTEST_SKIP() << "/dev/full cannot be opened";
+  }
+  std::fclose(probe);
+  Tracer tracer;
+  tracer.set_enabled(true);
+  tracer.Instant("lifecycle", "boot", 1000, /*pid=*/0, /*tid=*/0);
+  const std::vector<TraceEvent> events = tracer.TakeEvents();
+  // A full disk used to leave an empty or truncated trace and a clean exit.
+  EXPECT_DEATH(WriteChromeTraceFile("/dev/full", {NamedTrace{"full-disk", &events}}),
+               "cannot write /dev/full");
 }
 
 }  // namespace
