@@ -1,6 +1,6 @@
 // Google-benchmark micro-benchmarks for the core data structures: range
-// tree operations, TLB, 2D page walks, the MPSC sample channel, PEBS
-// sampling, and the latency histogram. These bound the real CPU cost of the
+// tree operations, TLB, 2D page walks, PEBS sampling, the Zipf generator,
+// and the latency histogram. These bound the real CPU cost of the
 // structures that the simulation charges virtual time for.
 
 #include <benchmark/benchmark.h>
@@ -12,7 +12,6 @@
 #include "src/base/histogram.h"
 #include "src/base/rng.h"
 #include "src/core/range_tree.h"
-#include "src/guest/mpsc_channel.h"
 #include "src/hyper/hypervisor.h"
 #include "src/hyper/vm.h"
 #include "src/mem/host_memory.h"
@@ -24,6 +23,28 @@
 
 namespace demeter {
 namespace {
+
+// Rng::NextZipf at silo's two (n, theta) pairs for a VM footprint of
+// Arg MiB (SiloYcsb: 1/16 index at 64 B slots, theta 0.6; 1 KiB records,
+// theta 0.9), interleaved 3:4 like one silo transaction. Arg 24 is
+// kv-zipf's footprint (32 MiB VMs, 3/4 of memory).
+void BM_RngNextZipf(benchmark::State& state) {
+  const uint64_t footprint = static_cast<uint64_t>(state.range(0)) * kMiB;
+  const uint64_t index_bytes = PageCeil(footprint / 16);
+  const uint64_t index_slots = index_bytes / 64;
+  const uint64_t records = (footprint - index_bytes) / 1024;
+  Rng rng(1);
+  for (auto _ : state) {
+    for (int k = 0; k < 3; ++k) {
+      benchmark::DoNotOptimize(rng.NextZipf(index_slots, 0.6));
+    }
+    for (int k = 0; k < 4; ++k) {
+      benchmark::DoNotOptimize(rng.NextZipf(records, 0.9));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 7);
+}
+BENCHMARK(BM_RngNextZipf)->Arg(24);
 
 void BM_RangeTreeRecordSample(benchmark::State& state) {
   RangeTree tree;
@@ -174,20 +195,6 @@ void BM_PageTableScanAndClear(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(pages));
 }
 BENCHMARK(BM_PageTableScanAndClear)->Arg(1024)->Arg(16384)->Arg(262144);
-
-void BM_MpscChannelPush(benchmark::State& state) {
-  MpscChannel<uint64_t> channel(1 << 16);
-  uint64_t v = 0;
-  std::vector<uint64_t> sink;
-  for (auto _ : state) {
-    if (!channel.Push(v++)) {
-      sink.clear();
-      channel.PopBatch(&sink, 1 << 16);
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MpscChannelPush);
 
 void BM_PebsOnAccess(benchmark::State& state) {
   PebsConfig config;

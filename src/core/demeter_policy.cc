@@ -18,7 +18,6 @@ void DemeterPolicy::Attach(Vm& vm, GuestProcess& process, Nanos start) {
   vm_ = &vm;
   process_ = &process;
   tree_ = std::make_unique<RangeTree>(config_.range);
-  samples_ = std::make_unique<MpscChannel<uint64_t>>(1 << 16);
 
   // EPT-friendly PEBS on every vCPU: small constant frequency, load-latency
   // event, threshold between L2-hit and DRAM latency.
@@ -32,14 +31,14 @@ void DemeterPolicy::Attach(Vm& vm, GuestProcess& process, Nanos start) {
     vm.vcpu(i).pebs->BindFault(vm.host().fault_injector(), vm.id());
     vm.vcpu(i).pebs->set_enabled(true);
     // PMIs are rare at this frequency, but when one fires its buffer goes
-    // into the same channel (the PMI cost is charged at the access site).
+    // into the same queue (the PMI cost is charged at the access site).
     vm.vcpu(i).pebs->set_pmi_handler(
         [this, alive = alive_](std::vector<PebsRecord>&& records, Nanos) {
           if (!*alive) {
             return;
           }
           for (const PebsRecord& r : records) {
-            samples_->Push(r.gva);
+            samples_.Push(r.gva);
           }
         });
   }
@@ -52,7 +51,7 @@ void DemeterPolicy::Attach(Vm& vm, GuestProcess& process, Nanos start) {
       }
       auto records = vm.vcpu(vcpu_id).pebs->Drain();
       for (const PebsRecord& r : records) {
-        samples_->Push(r.gva);
+        samples_.Push(r.gva);
       }
       const double cost = config_.drain_ns_per_record * static_cast<double>(records.size());
       vm.mgmt_account().Charge(TmmStage::kTracking, static_cast<Nanos>(cost));
@@ -105,7 +104,7 @@ void DemeterPolicy::RunPoll(Nanos now) {
     auto records = vm_->vcpu(i).pebs->Drain();
     cost += config_.drain_ns_per_record * static_cast<double>(records.size());
     for (const PebsRecord& r : records) {
-      samples_->Push(r.gva);
+      samples_.Push(r.gva);
     }
   }
   vm_->vcpu(0).clock_ns += cost;
@@ -230,12 +229,11 @@ void DemeterPolicy::RunEpoch(Nanos now) {
   double classify_ns = 0.0;
   double migrate_ns = 0.0;
 
-  // Consume the sample channel. In the default (virtual) mode, gVAs feed
-  // the classifier directly — no address translation per sample (the
+  // Drain the sample queue. In the default (virtual) mode, gVAs feed the
+  // classifier directly — no address translation per sample (the
   // Memtis/HeMem cost we avoid). The physical ablation pays a software
   // walk per sample and loses the gVA locality.
-  std::vector<uint64_t> drained;
-  samples_->PopBatch(&drained, 1 << 16);
+  const std::vector<uint64_t> drained = samples_.Drain();
   tracking_ns += config_.classify_ns_per_sample * static_cast<double>(drained.size());
 
   if (config_.classify_virtual) {
@@ -326,9 +324,9 @@ void DemeterPolicy::RunWatchdog(Nanos now) {
 
 void DemeterPolicy::HostManageRound(Nanos now) {
   // Hypervisor-side fallback. The guest classifier is out, but Demeter's
-  // sample channel lives in guest kernel memory the hypervisor can read
+  // sample queue lives in guest kernel memory the hypervisor can read
   // (it defined the protocol), and the guest's context-switch drain keeps
-  // filling it. The host consumes the channel, pays the software gVA->gPA
+  // filling it. The host drains the queue, pays the software gVA->gPA
   // walk the delegated engine avoids by design (§3.2), and re-tiers by
   // sample frequency. EPT A bits are deliberately NOT used: at memory-bound
   // access rates every resident page is touched within any practical scan
@@ -338,10 +336,7 @@ void DemeterPolicy::HostManageRound(Nanos now) {
   Hypervisor& host = vm_->host();
   double work_ns = 0.0;
 
-  std::vector<uint64_t> gvas;
-  while (auto gva = samples_->Pop()) {
-    gvas.push_back(*gva);
-  }
+  std::vector<uint64_t> gvas = samples_.Drain();
   // Steal whatever still sits in the per-vCPU PEBS buffers too.
   for (int i = 0; i < vm_->num_vcpus(); ++i) {
     auto records = vm_->vcpu(i).pebs->Drain();
@@ -449,7 +444,7 @@ void DemeterPolicy::HostManageRound(Nanos now) {
   // hypervisor-side design must full-flush after host migration because it
   // lacks the gVA (§2.3.1), but this fallback just translated the gVAs it
   // promotes, and the victims' gVAs sit in the guest's rmap — readable the
-  // same way the sample channel is. A full flush per round at this cadence
+  // same way the sample queue is. A full flush per round at this cadence
   // would keep the TLBs permanently cold.
   double migrate_ns = 0.0;
   uint64_t promoted = 0;

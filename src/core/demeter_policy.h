@@ -5,8 +5,8 @@
 //     small constant sample period (default 1/4093) and a 64 ns latency
 //     threshold;
 //   * samples drain at context switches (no dedicated polling thread) into
-//     a lock-free MPSC channel; PMIs also drain (they are rare by design);
-//   * every epoch (t_split = 500 ms) the classifier consumes the channel —
+//     a bounded sample queue; PMIs also drain (they are rare by design);
+//   * every epoch (t_split = 500 ms) the classifier drains the queue —
 //     gVA samples feed the range tree directly, with NO per-sample address
 //     translation — then splits/decays/merges, ranks ranges, and runs
 //     balanced relocation against the current FMEM budget (balloon-aware:
@@ -25,7 +25,7 @@
 #include "src/core/policy.h"
 #include "src/core/range_tree.h"
 #include "src/core/relocator.h"
-#include "src/guest/mpsc_channel.h"
+#include "src/guest/bounded_queue.h"
 #include "src/pebs/pebs.h"
 
 namespace demeter {
@@ -34,7 +34,7 @@ namespace demeter {
 // (the harness arms it when a fault plan exists): a watchdog on the
 // hypervisor side observes epoch progress; when the guest engine has made
 // none for `unresponsive_after`, the host takes over tiering — it drains
-// the PEBS sample channel itself, pays the software gVA->gPA translation
+// the PEBS sample queue itself, pays the software gVA->gPA translation
 // the delegated engine avoids, and migrates host-side by sample frequency
 // until the guest catches up.
 struct DegradationConfig {
@@ -136,7 +136,10 @@ class DemeterPolicy : public TmmPolicy {
   GuestProcess* process_ = nullptr;
   std::unique_ptr<RangeTree> tree_;
   BalancedRelocator relocator_;
-  std::unique_ptr<MpscChannel<uint64_t>> samples_;
+  // Sampled gVAs awaiting the classifier. Storage grows with the samples
+  // queued; the cap sheds load when the classifier falls behind.
+  static constexpr size_t kSampleQueueCapacity = 1 << 16;
+  BoundedQueue<uint64_t> samples_{kSampleQueueCapacity};
   RelocationResult last_relocation_;
   uint64_t total_promoted_ = 0;
   uint64_t total_demoted_ = 0;

@@ -1,7 +1,10 @@
 #include "src/fault/fault.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,7 +32,7 @@ std::string FormatDouble(double value) {
 bool ParseProbability(const std::string& text, double* out, std::string* error) {
   char* end = nullptr;
   const double p = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' || p < 0.0 || p > 1.0) {
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(p) || p < 0.0 || p > 1.0) {
     if (error != nullptr) {
       *error = "probability must be a number in [0,1], got '" + text + "'";
     }
@@ -39,28 +42,45 @@ bool ParseProbability(const std::string& text, double* out, std::string* error) 
   return true;
 }
 
+// Parses the unsigned decimal integer that `text` starts with. strtoull
+// alone would skip blanks, wrap a leading '-' and saturate on overflow;
+// here the text must start with a digit and the value must fit.
+bool ParseLeadingUint64(const char* text, uint64_t* out, char** end) {
+  if (!std::isdigit(static_cast<unsigned char>(*text))) {
+    return false;
+  }
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, end, 10);
+  if (errno == ERANGE) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool ParseDuration(const std::string& text, Nanos* out, std::string* error) {
   char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  uint64_t scale = 1;
-  if (std::strcmp(end, "ns") == 0 || *end == '\0') {
-    scale = 1;
-  } else if (std::strcmp(end, "us") == 0) {
-    scale = 1000;
-  } else if (std::strcmp(end, "ms") == 0) {
-    scale = 1000 * 1000;
-  } else if (std::strcmp(end, "s") == 0) {
-    scale = 1000ULL * 1000 * 1000;
-  } else {
-    end = nullptr;  // Unknown suffix.
+  uint64_t value = 0;
+  uint64_t scale = 0;  // Stays 0 unless the text is a number with a known suffix.
+  if (ParseLeadingUint64(text.c_str(), &value, &end)) {
+    if (std::strcmp(end, "ns") == 0 || *end == '\0') {
+      scale = 1;
+    } else if (std::strcmp(end, "us") == 0) {
+      scale = 1000;
+    } else if (std::strcmp(end, "ms") == 0) {
+      scale = 1000 * 1000;
+    } else if (std::strcmp(end, "s") == 0) {
+      scale = 1000ULL * 1000 * 1000;
+    }
   }
-  if (end == nullptr || end == text.c_str()) {
+  if (scale == 0 || value > UINT64_MAX / scale) {
     if (error != nullptr) {
-      *error = "duration must be an integer with optional ns/us/ms/s suffix, got '" + text + "'";
+      *error = "duration must be a non-negative integer with optional ns/us/ms/s suffix, at "
+               "most 2^64-1 ns, got '" + text + "'";
     }
     return false;
   }
-  *out = static_cast<Nanos>(value) * scale;
+  *out = value * scale;
   return true;
 }
 
@@ -351,9 +371,9 @@ std::optional<FaultPlan> FaultPlan::Parse(const std::string& spec, std::string* 
       }
     } else if (key == "vqcap") {
       char* end = nullptr;
-      const unsigned long long cap = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
-        detail = "vqcap must be a non-negative integer, got '" + value + "'";
+      uint64_t cap = 0;
+      if (!ParseLeadingUint64(value.c_str(), &cap, &end) || *end != '\0') {
+        detail = "vqcap must be a non-negative 64-bit integer, got '" + value + "'";
         return fail();
       }
       plan.vq_capacity = cap;

@@ -4,7 +4,9 @@
 
 namespace demeter {
 
-PageTable::PageTable() : root_(std::make_unique<Node>()) {}
+static_assert(sizeof(uintptr_t) == sizeof(uint64_t), "entries hold node addresses");
+
+PageTable::PageTable() { nodes_.push_back(std::make_unique<Node>()); }
 PageTable::~PageTable() = default;
 
 PageTable::Node* PageTable::FindLeaf(PageNum vpn) const {
@@ -16,9 +18,9 @@ PageTable::Node* PageTable::FindLeaf(PageNum vpn) const {
   if (slot.tag == tag && slot.epoch == structure_epoch_) {
     return slot.leaf;
   }
-  Node* node = root_.get();
+  Node* node = root();
   for (int level = 0; level < kLevels - 1; ++level) {
-    Node* child = node->children[static_cast<size_t>(IndexAt(vpn, level))].get();
+    Node* child = ChildAt(*node, IndexAt(vpn, level));
     if (child == nullptr) {
       return nullptr;  // Absent subtrees are not cached (Map may create them).
     }
@@ -39,15 +41,16 @@ uint64_t* PageTable::FindEntry(PageNum vpn) const {
 }
 
 uint64_t* PageTable::FindOrCreateEntry(PageNum vpn) {
-  Node* node = root_.get();
+  Node* node = root();
   bool created = false;
   for (int level = 0; level < kLevels - 1; ++level) {
-    auto& slot = node->children[static_cast<size_t>(IndexAt(vpn, level))];
-    if (slot == nullptr) {
-      slot = std::make_unique<Node>();
+    uint64_t& entry = node->entries[static_cast<size_t>(IndexAt(vpn, level))];
+    if (entry == 0) {
+      nodes_.push_back(std::make_unique<Node>());
+      entry = reinterpret_cast<uintptr_t>(nodes_.back().get());
       created = true;
     }
-    node = slot.get();
+    node = reinterpret_cast<Node*>(static_cast<uintptr_t>(entry));
   }
   if (created) {
     // Structure changed: conservatively invalidate the whole walk cache by
@@ -114,10 +117,10 @@ PageTable::WalkResult PageTable::TranslateCold(PageNum vpn, bool is_write, bool 
   Node* node = FindLeaf(vpn);
   if (node == nullptr) {
     // Absent subtree: count the levels actually touched, as before.
-    Node* cursor = root_.get();
+    Node* cursor = root();
     for (int level = 0; level < kLevels - 1; ++level) {
       ++result.levels_touched;
-      Node* child = cursor->children[static_cast<size_t>(IndexAt(vpn, level))].get();
+      Node* child = ChildAt(*cursor, IndexAt(vpn, level));
       if (child == nullptr) {
         return result;
       }
@@ -197,7 +200,7 @@ uint64_t PageTable::VisitRange(Node* node, int level, PageNum node_base, PageNum
         fn(slot_begin, pte);
       }
     } else {
-      Node* child = node->children[static_cast<size_t>(i)].get();
+      Node* child = ChildAt(*node, i);
       if (child != nullptr) {
         ++touched;
         touched += VisitRange(child, level + 1, slot_begin, begin, end, fn);
@@ -208,14 +211,14 @@ uint64_t PageTable::VisitRange(Node* node, int level, PageNum node_base, PageNum
 }
 
 uint64_t PageTable::ForEachPresent(PageNum begin, PageNum end, const Visitor& visitor) const {
-  return VisitRange(root_.get(), 0, 0, begin, end, [&](PageNum vpn, uint64_t& pte) {
+  return VisitRange(root(), 0, 0, begin, end, [&](PageNum vpn, uint64_t& pte) {
     visitor(vpn, pte >> PteFlags::kTargetShift, (pte & PteFlags::kAccessed) != 0,
             (pte & PteFlags::kDirty) != 0);
   });
 }
 
 uint64_t PageTable::ScanAndClearAccessed(PageNum begin, PageNum end, const Visitor& visitor) {
-  return VisitRange(root_.get(), 0, 0, begin, end, [&](PageNum vpn, uint64_t& pte) {
+  return VisitRange(root(), 0, 0, begin, end, [&](PageNum vpn, uint64_t& pte) {
     const bool accessed = (pte & PteFlags::kAccessed) != 0;
     const bool dirty = (pte & PteFlags::kDirty) != 0;
     pte &= ~PteFlags::kAccessed;

@@ -7,8 +7,10 @@
 // The structure is a real 512-ary radix tree (9 bits per level, 4 levels,
 // 36-bit page numbers = 48-bit address spaces) so that page-table scans cost
 // what they cost on hardware: visitors report the number of entries touched,
-// which access-tracking baselines charge as CPU time. Page numbers at or
-// above kMaxPage are never mapped: Map rejects them, and every other query
+// which access-tracking baselines charge as CPU time. As in hardware, every
+// node is one 4 KiB table of 512 64-bit entries: a leaf entry is a PTE, an
+// upper-level entry holds the next-level node. Page numbers at or above
+// kMaxPage are never mapped: Map rejects them, and every other query
 // reports them not present, with no levels touched.
 
 #ifndef DEMETER_SRC_MMU_PAGE_TABLE_H_
@@ -18,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "src/base/units.h"
 
@@ -130,10 +133,13 @@ class PageTable {
   uint64_t remap_dirty_lost() const { return remap_dirty_lost_; }
 
  private:
+  // One radix node. A leaf-level entry is a PTE (PteFlags); an upper-level
+  // entry holds the address of the next-level node, 0 when that subtree is
+  // absent.
   struct Node {
     std::array<uint64_t, kFanout> entries{};
-    std::array<std::unique_ptr<Node>, kFanout> children{};
   };
+  static_assert(sizeof(Node) == 4096, "a node is one hardware-sized 4 KiB table");
 
   static int IndexAt(PageNum vpn, int level) {
     return static_cast<int>((vpn >> (kBitsPerLevel * (kLevels - 1 - level))) & (kFanout - 1));
@@ -163,6 +169,14 @@ class PageTable {
   // installs the cache slot) or a partial walk over an absent subtree.
   WalkResult TranslateCold(PageNum vpn, bool is_write, bool set_bits);
 
+  // The node an upper-level entry points at, or nullptr when absent.
+  static Node* ChildAt(const Node& node, int index) {
+    const uint64_t entry = node.entries[static_cast<size_t>(index)];
+    return reinterpret_cast<Node*>(static_cast<uintptr_t>(entry));
+  }
+
+  Node* root() const { return nodes_.front().get(); }
+
   uint64_t* FindEntry(PageNum vpn) const;
   uint64_t* FindOrCreateEntry(PageNum vpn);
 
@@ -170,7 +184,9 @@ class PageTable {
   uint64_t VisitRange(Node* node, int level, PageNum node_base, PageNum begin, PageNum end,
                       const Fn& fn) const;
 
-  std::unique_ptr<Node> root_;
+  // Owns every node; the root is first. Nodes are never freed before the
+  // table, so the addresses held in entries and the leaf cache stay valid.
+  std::vector<std::unique_ptr<Node>> nodes_;
   uint64_t mapped_count_ = 0;
   uint64_t structure_epoch_ = 1;
   mutable std::array<LeafCacheSlot, kLeafCacheSlots> leaf_cache_{};

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -416,6 +418,56 @@ TEST(DemeterPolicy, ConvergesHotSetIntoFmem) {
   EXPECT_GT(vm.mgmt_account().Total(), 0u);
   // Guest-delegated: no full EPT flushes during steady-state management.
   EXPECT_EQ(vm.AggregateTlbStats().full_flushes, 0u);
+}
+
+// Bytes the allocator has handed out, including chunks it mmapped.
+size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+bool SanitizerOwnsTheHeap() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  return true;
+#endif
+#endif
+  return false;
+}
+
+// Attach allocates only what the run uses: the sample queue has no storage
+// until samples arrive, so eight attached VMs cost well under the 1 MiB a
+// preallocated 65,536-slot ring would cost each.
+TEST(DemeterPolicy, AttachAllocatesNoSampleStorageUpFront) {
+  if (SanitizerOwnsTheHeap()) {
+    GTEST_SKIP() << "sanitizer allocators make mallinfo2 meaningless";
+  }
+  HostMemory memory({TierSpec::LocalDram(64 * kMiB), TierSpec::Pmem(256 * kMiB)});
+  EventQueue events;
+  Hypervisor hyper(&memory, &events);
+  constexpr int kVms = 8;
+  std::vector<GuestProcess*> procs;
+  std::vector<std::unique_ptr<DemeterPolicy>> policies;
+  for (int v = 0; v < kVms; ++v) {
+    VmConfig config;
+    config.id = v;
+    config.total_memory_bytes = 8 * kMiB;
+    config.num_vcpus = 2;
+    Vm& vm = hyper.CreateVm(config);
+    GuestProcess& proc = vm.kernel().CreateProcess();
+    proc.HeapAlloc(4 * kMiB);
+    procs.push_back(&proc);
+    policies.push_back(std::make_unique<DemeterPolicy>());
+  }
+  const size_t before = HeapInUse();
+  for (int v = 0; v < kVms; ++v) {
+    policies[static_cast<size_t>(v)]->Attach(hyper.vm(v), *procs[static_cast<size_t>(v)], 0);
+  }
+  const int64_t grown = static_cast<int64_t>(HeapInUse()) - static_cast<int64_t>(before);
+  EXPECT_LT(grown, static_cast<int64_t>(kMiB))
+      << "attaching " << kVms << " VMs allocated " << grown << " bytes";
 }
 
 TEST(DemeterPolicy, RequiresEptFriendlyPebsUnderLazyBacking) {

@@ -164,11 +164,56 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
       "hostfail=0.5@0",              // Missing the /down-duration half.
       "hostfail=0.5/0@0",            // Zero down duration.
       "hostfail=1.5/1ms@0",          // Probability out of range.
+      "pebsdrop=nan",                // Not a finite probability.
+      "poison=nan@0",                // Not a finite probability.
+      "hostfail=nan/8ms@1",          // Not a finite probability.
+      "vqcap=-1",                    // Negative (strtoull would wrap it).
+      "vqcap=+8",                    // Must start with a digit.
+      "vqcap=18446744073709551616",  // Above UINT64_MAX.
+      "swapfail=0.5/-2ms",           // Negative duration.
+      "crash=1ms/-5ms",              // Negative period.
+      "bdelay=0.5/ 3ms",             // Must start with a digit.
+      "stall=20000000000s/30000000000s",  // Scaled past UINT64_MAX ns.
+      "hostfail=0.5/18446744073709552us@0",  // Scaled past UINT64_MAX ns.
   };
   for (const char* spec : bad) {
     std::string error;
     EXPECT_FALSE(FaultPlan::Parse(spec, &error).has_value()) << spec;
     EXPECT_FALSE(error.empty()) << spec;
+  }
+}
+
+// Round-trip property: every accepted spec canonicalises to a spec that
+// parses back to the same plan, and canonicalisation is a fixed point.
+TEST(FaultPlanTest, ParseOfToSpecIsIdentity) {
+  const char* specs[] = {
+      "",
+      "bdelay=0.1/200us,bdrop=0.05,stall=5ms/25ms,crash=50ms/100ms,"
+      "vqcap=8,pebsdrop=0.25,migfail=0.1,tierex=0.02",
+      "poison=0.002@0,poison=0.0005@1,tiershrink=0.3/2ms/10ms@0,"
+      "tiershrink=0.25/5ms/20ms@1",
+      "swapfail=0.3/1ms",
+      "migratefail=0.3/1ms@0,migratefail=0.5/2ms@3",
+      "hostfail=0.5/8ms@0,hostfail=0.25/40ms@2",
+      "poison=0.1@0,poison=0.2@1",
+      "migratefail=0.1/1ms@0,migratefail=0.2/1ms@1",
+      "hostfail=0.1/1ms@0,hostfail=0.2/1ms@1",
+      "migratefail=0.1/1ms@0,hostfail=0.2/1ms@0",
+      "bdrop=0.3,pebsdrop=0.7",
+      "bdrop=0,pebsdrop=1,stall=0/0,vqcap=0",
+      "vqcap=18446744073709551615",
+      "stall=18446744073709551615ns/18446744073709551615",
+      "crash=18446744073s/18446744073709551us",
+      "bdelay=0.1/007ms,swapfail=1e-3/1s",
+  };
+  for (const char* spec : specs) {
+    std::string error;
+    const auto plan = FaultPlan::Parse(spec, &error);
+    ASSERT_TRUE(plan.has_value()) << spec << ": " << error;
+    const auto again = FaultPlan::Parse(plan->ToSpec(), &error);
+    ASSERT_TRUE(again.has_value()) << spec << " -> " << plan->ToSpec() << ": " << error;
+    EXPECT_EQ(*again, *plan) << spec << " -> " << plan->ToSpec();
+    EXPECT_EQ(again->ToSpec(), plan->ToSpec()) << spec;
   }
 }
 
@@ -205,6 +250,9 @@ TEST(FaultPlanTest, ErrorsNameTheOffendingToken) {
       {"hostfail=0.5/1ms", "hostfail=0.5/1ms", "needs an @host suffix"},
       {"hostfail=0.5/1ms@9", "hostfail=0.5/1ms@9", "host must be an integer in [0,7]"},
       {"hostfail=0.5/0@1", "hostfail=0.5/0@1", "hostfail needs a non-zero down duration"},
+      {"bdrop=0.1,pebsdrop=nan", "pebsdrop=nan", "probability must be a number in [0,1]"},
+      {"vqcap=-1", "vqcap=-1", "vqcap must be a non-negative 64-bit integer"},
+      {"stall=1ms/2ms,crash=1ms/-5ms", "crash=1ms/-5ms", "duration must be a non-negative"},
   };
   for (const Case& c : cases) {
     std::string error;

@@ -1,13 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "src/base/units.h"
 #include "src/guest/address_space.h"
+#include "src/guest/bounded_queue.h"
 #include "src/guest/kernel.h"
-#include "src/guest/mpsc_channel.h"
 #include "src/guest/numa_node.h"
 
 namespace demeter {
@@ -289,77 +288,73 @@ TEST(GuestKernel, ContextSwitchHooksCharge) {
   EXPECT_EQ(calls, 1);
 }
 
-// ---- MpscChannel -----------------------------------------------------------
+// ---- BoundedQueue ----------------------------------------------------------
 
-TEST(MpscChannel, PushPopSingleThread) {
-  MpscChannel<int> ch(8);
-  EXPECT_FALSE(ch.Pop().has_value());
-  EXPECT_TRUE(ch.Push(1));
-  EXPECT_TRUE(ch.Push(2));
-  EXPECT_EQ(ch.Pop().value(), 1);
-  EXPECT_EQ(ch.Pop().value(), 2);
-  EXPECT_FALSE(ch.Pop().has_value());
+TEST(BoundedQueue, PushDrainSingleThread) {
+  BoundedQueue<int> q(8);
+  EXPECT_TRUE(q.Drain().empty());
+  EXPECT_TRUE(q.Push(1));
+  EXPECT_TRUE(q.Push(2));
+  EXPECT_EQ(q.Drain(), (std::vector<int>{1, 2}));
+  EXPECT_TRUE(q.Drain().empty());
+  EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(MpscChannel, FullDropsAndCounts) {
-  MpscChannel<int> ch(4);
+TEST(BoundedQueue, FullDropsAndCounts) {
+  BoundedQueue<int> q(4);
   for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(ch.Push(i));
+    EXPECT_TRUE(q.Push(i));
   }
-  EXPECT_FALSE(ch.Push(99));
-  EXPECT_EQ(ch.dropped(), 1u);
-  ch.Pop();
-  EXPECT_TRUE(ch.Push(100));
+  EXPECT_FALSE(q.Push(99));
+  EXPECT_EQ(q.dropped(), 1u);
+  EXPECT_EQ(q.Drain(), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_TRUE(q.Push(100));
+  EXPECT_EQ(q.dropped(), 1u);
 }
 
-TEST(MpscChannel, PopBatch) {
-  MpscChannel<int> ch(16);
+TEST(BoundedQueue, DrainKeepsFifoOrder) {
+  BoundedQueue<int> q(16);
   for (int i = 0; i < 10; ++i) {
-    ch.Push(i);
+    q.Push(i);
   }
-  std::vector<int> out;
-  EXPECT_EQ(ch.PopBatch(&out, 6), 6u);
-  EXPECT_EQ(out.size(), 6u);
-  EXPECT_EQ(ch.PopBatch(&out, 100), 4u);
-  EXPECT_EQ(out.size(), 10u);
+  const std::vector<int> out = q.Drain();
+  ASSERT_EQ(out.size(), 10u);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(out[static_cast<size_t>(i)], i);
   }
 }
 
-TEST(MpscChannel, MultiProducerStress) {
-  MpscChannel<uint64_t> ch(1 << 14);
-  constexpr int kProducers = 4;
-  constexpr uint64_t kPerProducer = 20000;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ch, p] {
-      for (uint64_t i = 0; i < kPerProducer; ++i) {
-        const uint64_t value = (static_cast<uint64_t>(p) << 32) | i;
-        while (!ch.Push(value)) {
-        }
-      }
-    });
+// Demeter's sample queue: the 65,536th sample is kept, the next is shed,
+// and a drain makes room again.
+TEST(BoundedQueue, DropsOnlyPastTheCapAndResumesAfterDrain) {
+  constexpr uint64_t kCap = 1 << 16;
+  BoundedQueue<uint64_t> q(kCap);
+  for (uint64_t i = 0; i < kCap; ++i) {
+    ASSERT_TRUE(q.Push(i)) << i;
   }
-  std::vector<uint64_t> per_producer_next(kProducers, 0);
-  uint64_t received = 0;
-  while (received < kProducers * kPerProducer) {
-    auto v = ch.Pop();
-    if (!v.has_value()) {
-      std::this_thread::yield();
-      continue;
-    }
-    const int p = static_cast<int>(*v >> 32);
-    const uint64_t seq = *v & 0xffffffff;
-    // Per-producer FIFO ordering must hold.
-    EXPECT_EQ(seq, per_producer_next[static_cast<size_t>(p)]);
-    ++per_producer_next[static_cast<size_t>(p)];
-    ++received;
+  EXPECT_EQ(q.dropped(), 0u);
+  EXPECT_FALSE(q.Push(kCap));
+  EXPECT_EQ(q.dropped(), 1u);
+  EXPECT_EQ(q.size(), kCap);
+  const std::vector<uint64_t> out = q.Drain();
+  ASSERT_EQ(out.size(), kCap);
+  for (uint64_t i = 0; i < kCap; ++i) {
+    ASSERT_EQ(out[i], i);
   }
-  for (auto& t : producers) {
-    t.join();
-  }
-  EXPECT_EQ(received, kProducers * kPerProducer);
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_TRUE(q.Push(7));
+  EXPECT_EQ(q.Drain(), (std::vector<uint64_t>{7}));
+  EXPECT_EQ(q.dropped(), 1u);
+}
+
+TEST(BoundedQueue, AllocatesNothingUntilThePushes) {
+  BoundedQueue<uint64_t> q(1 << 16);
+  EXPECT_EQ(q.allocated(), 0u);
+  q.Push(1);
+  EXPECT_GE(q.allocated(), 1u);
+  EXPECT_LT(q.allocated(), 16u) << "storage follows the depth, not the cap";
+  q.Drain();
+  EXPECT_EQ(q.allocated(), 0u) << "a drain hands the storage to the caller";
 }
 
 }  // namespace

@@ -112,6 +112,83 @@ TEST(PageTable, LevelsTouched) {
   EXPECT_EQ(pt.Translate(PageTable::kMaxPage - 1, false, false).levels_touched, 1);
 }
 
+// Layout guard: a sparse table spanning two level-1 subtrees, two level-2
+// subtrees and two leaves under one level-2 node, plus the last page. The
+// counts were produced by the layout that kept a second 512-pointer array
+// per node beside the entries; scan costs, walk depths and mapping results
+// must not depend on how a node stores its children.
+TEST(PageTable, SparseLayoutCountsArePinned) {
+  constexpr PageNum kLeafSpan = 1ULL << 9;   // Pages under one leaf node.
+  constexpr PageNum kL2Span = 1ULL << 18;    // Pages under one level-2 node.
+  constexpr PageNum kL1Span = 1ULL << 27;    // Pages under one level-1 node.
+  const std::vector<PageNum> pages = {0, 5, kLeafSpan, kL2Span, kL1Span + 3,
+                                      PageTable::kMaxPage - 1};
+  PageTable pt;
+  for (size_t i = 0; i < pages.size(); ++i) {
+    ASSERT_TRUE(pt.Map(pages[i], 100 + i, /*writable=*/true));
+  }
+  EXPECT_EQ(pt.mapped_count(), 6u);
+
+  std::vector<PageNum> seen;
+  auto record = [&](PageNum vpn, uint64_t, bool, bool) { seen.push_back(vpn); };
+  // Full range: 3 root + 3 level-1 + 4 level-2 child entries, 5 leaves x 512.
+  EXPECT_EQ(pt.ForEachPresent(0, PageTable::kMaxPage, record), 2572u);
+  EXPECT_EQ(seen, pages);
+  seen.clear();
+  EXPECT_EQ(pt.ForEachPresent(3, kL2Span + 1, record), 1028u);
+  EXPECT_EQ(seen, (std::vector<PageNum>{5, kLeafSpan, kL2Span}));
+
+  // A miss stops at the first absent level; a leaf miss walks all four.
+  EXPECT_EQ(pt.Translate(2 * kL1Span, false, false).levels_touched, 1);
+  EXPECT_EQ(pt.Translate(2 * kL2Span, false, false).levels_touched, 2);
+  EXPECT_EQ(pt.Translate(2 * kLeafSpan, false, false).levels_touched, 3);
+  const auto leaf_miss = pt.Translate(7, false, false);
+  EXPECT_FALSE(leaf_miss.present);
+  EXPECT_EQ(leaf_miss.levels_touched, 4);
+  EXPECT_EQ(pt.Translate(PageTable::kMaxPage, false, false).levels_touched, 0);
+
+  pt.Translate(5, /*is_write=*/true, /*set_bits=*/true);
+  pt.Translate(PageTable::kMaxPage - 1, /*is_write=*/false, /*set_bits=*/true);
+  int accessed = 0;
+  int dirty = 0;
+  EXPECT_EQ(pt.ScanAndClearAccessed(0, PageTable::kMaxPage,
+                                    [&](PageNum, uint64_t, bool a, bool d) {
+                                      accessed += a ? 1 : 0;
+                                      dirty += d ? 1 : 0;
+                                    }),
+            2572u);
+  EXPECT_EQ(accessed, 2);
+  EXPECT_EQ(dirty, 1);
+  EXPECT_EQ(pt.ScanAndClearAccessed(kL1Span, PageTable::kMaxPage,
+                                    [&](PageNum, uint64_t, bool a, bool) { EXPECT_FALSE(a); }),
+            1030u);
+
+  const auto far = pt.Lookup(kL1Span + 3);
+  EXPECT_TRUE(far.present);
+  EXPECT_EQ(far.target, 104u);
+  EXPECT_EQ(far.levels_touched, 4);
+  EXPECT_EQ(pt.Lookup(2 * kLeafSpan).levels_touched, 0);
+  const auto last = pt.Lookup(PageTable::kMaxPage - 1);
+  EXPECT_EQ(last.target, 105u);
+  EXPECT_FALSE(last.was_accessed);
+
+  EXPECT_TRUE(pt.Remap(kL2Span, 999));
+  EXPECT_EQ(pt.Lookup(kL2Span).target, 999u);
+  EXPECT_FALSE(pt.Remap(2 * kL2Span, 1));
+  const auto five = pt.Lookup(5);
+  EXPECT_TRUE(five.was_dirty);
+  EXPECT_EQ(pt.Unmap(5), 101u);
+  EXPECT_EQ(pt.Unmap(5), ~0ULL);
+  EXPECT_EQ(pt.Unmap(2 * kL1Span), ~0ULL);
+  EXPECT_EQ(pt.mapped_count(), 5u);
+  // Unmapping frees no node: the scan cost and walk depth stay put.
+  EXPECT_EQ(pt.Translate(5, false, false).levels_touched, 4);
+  seen.clear();
+  EXPECT_EQ(pt.ForEachPresent(0, PageTable::kMaxPage, record), 2572u);
+  EXPECT_EQ(seen, (std::vector<PageNum>{0, kLeafSpan, kL2Span, kL1Span + 3,
+                                        PageTable::kMaxPage - 1}));
+}
+
 // The memoized leaf-node cache must be invisible: repeated translations
 // return identical results (including levels_touched, which feeds cost
 // accounting), and structural changes are never served stale.

@@ -9,9 +9,13 @@
 //
 //   ./build/tools/demeter_sim --workload silo --policy demeter --vms 3
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "src/harness/machine.h"
@@ -35,7 +39,36 @@ struct Options {
   uint64_t seed = 42;
 };
 
+// Numeric flags are parsed as whole tokens and range-checked before any
+// host is built; a bad value exits 2 naming the flag.
+[[noreturn]] void BadFlag(const char* flag, const std::string& need, const char* text) {
+  std::fprintf(stderr, "demeter-sim: %s needs %s, got '%s'\n", flag, need.c_str(), text);
+  std::exit(2);
+}
+
+uint64_t ParseUint(const char* flag, const char* text, uint64_t min, uint64_t max) {
+  char* end = nullptr;
+  errno = 0;
+  const bool digit = std::isdigit(static_cast<unsigned char>(text[0])) != 0;
+  const unsigned long long value = digit ? std::strtoull(text, &end, 10) : 0;
+  if (!digit || *end != '\0' || errno == ERANGE || value < min || value > max) {
+    BadFlag(flag, "an integer in [" + std::to_string(min) + ", " + std::to_string(max) + "]",
+            text);
+  }
+  return value;
+}
+
+double ParseRatio(const char* flag, const char* text) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value) || value < 1.0) {
+    BadFlag(flag, "a finite ratio >= 1.0", text);
+  }
+  return value;
+}
+
 bool ParseArgs(int argc, char** argv, Options* options) {
+  constexpr uint64_t kNoMax = std::numeric_limits<uint64_t>::max();
   for (int i = 1; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
       if (std::strcmp(argv[i], flag) != 0) {
@@ -52,29 +85,31 @@ bool ParseArgs(int argc, char** argv, Options* options) {
     } else if (const char* v = next("--policy")) {
       options->policy = v;
     } else if (const char* v = next("--vms")) {
-      options->vms = std::atoi(v);
+      options->vms = static_cast<int>(ParseUint("--vms", v, 1, std::numeric_limits<int>::max()));
     } else if (const char* v = next("--vm-mib")) {
-      options->vm_mib = std::strtoull(v, nullptr, 10);
+      options->vm_mib = ParseUint("--vm-mib", v, 1, kNoMax);
     } else if (const char* v = next("--footprint-mib")) {
-      options->footprint_mib = std::strtoull(v, nullptr, 10);
+      options->footprint_mib = ParseUint("--footprint-mib", v, 1, kNoMax);
     } else if (const char* v = next("--txns")) {
-      options->txns = std::strtoull(v, nullptr, 10);
+      options->txns = ParseUint("--txns", v, 1, kNoMax);
     } else if (const char* v = next("--smem")) {
       options->smem = v;
     } else if (const char* v = next("--provision")) {
       options->provision = v;
     } else if (const char* v = next("--overcommit")) {
-      options->overcommit = std::strtod(v, nullptr);
-      if (options->overcommit < 1.0) {
-        std::fprintf(stderr, "--overcommit needs a ratio >= 1.0, got %s\n", v);
-        std::exit(2);
-      }
+      options->overcommit = ParseRatio("--overcommit", v);
     } else if (const char* v = next("--seed")) {
-      options->seed = std::strtoull(v, nullptr, 10);
+      options->seed = ParseUint("--seed", v, 0, kNoMax);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return false;
     }
+  }
+  // The workload must fit in the guest: checked once every flag is known.
+  if (options->footprint_mib > options->vm_mib) {
+    const std::string text = std::to_string(options->footprint_mib);
+    BadFlag("--footprint-mib", "at most --vm-mib (" + std::to_string(options->vm_mib) + ")",
+            text.c_str());
   }
   return true;
 }
