@@ -73,7 +73,7 @@ const Variant kVariants[] = {
 };
 
 int Run(int argc, char** argv) {
-  const BenchScale scale = BenchScale::FromArgs(argc, argv);
+  const BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kDirect);
   std::printf("Ablation: Demeter design decisions (elapsed seconds; lower is better)\n\n");
   TablePrinter table({"variant", "xsbench-s", "gups-s", "gups-promoted", "gups-mgmt-cores"});
 

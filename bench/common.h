@@ -9,14 +9,17 @@
 // message):
 //   --full        larger (slower) configuration closer to paper scale
 //   --smoke       tiny configuration for CI smoke runs (seconds, not minutes)
-//   --jobs=N      worker threads for runner-based benches (default: all cores)
-//   --out=FILE    also write results as JSON lines to FILE
-//   --trace=FILE  write a Chrome trace_event JSON trace of every run to FILE
 //   --faults=SPEC inject the given fault schedule into every machine
 //                 (see FaultPlan::Parse for the SPEC grammar)
 //   --check       audit cross-layer invariants during every run (abort on
 //                 violation); observability-only, results are unchanged
 //   --help        print usage and exit
+// and by the benches that run through the ExperimentRunner:
+//   --jobs=N      worker threads (default: all cores)
+//   --out=FILE    also write results as JSON lines to FILE
+//   --trace=FILE  write a Chrome trace_event JSON trace of every run to FILE
+// The other benches drive their machines directly and write neither file;
+// they reject these three flags with exit 2 before opening anything.
 
 #ifndef DEMETER_BENCH_COMMON_H_
 #define DEMETER_BENCH_COMMON_H_
@@ -31,6 +34,11 @@
 #include "src/runner/runner.h"
 
 namespace demeter {
+
+// How a bench runs its experiments: as ExperimentSpecs through the
+// ExperimentRunner (which --jobs, --out and --trace drive), or by driving
+// Machines directly.
+enum class BenchKind { kRunner, kDirect };
 
 struct BenchScale {
   uint64_t vm_bytes = 32 * kMiB;
@@ -55,24 +63,32 @@ struct BenchScale {
   bool check_invariants = false;  // --check.
   bool smoke = false;         // --smoke was given (benches that scale VM counts).
 
-  static void Usage(const char* prog, std::FILE* stream) {
+  static void Usage(const char* prog, std::FILE* stream, BenchKind kind) {
+    const bool runner = kind == BenchKind::kRunner;
     std::fprintf(stream,
-                 "usage: %s [--full] [--smoke] [--jobs=N] [--out=FILE] [--trace=FILE]\n"
-                 "          [--faults=SPEC] [--check] [--help]\n"
+                 "usage: %s [--full] [--smoke]%s\n"
+                 "          [--faults=SPEC] [--check] [--help]\n",
+                 prog, runner ? " [--jobs=N] [--out=FILE] [--trace=FILE]" : "");
+    std::fprintf(stream,
                  "  --full         paper-scale (slower) configuration\n"
-                 "  --smoke        tiny CI configuration (completes in seconds)\n"
-                 "  --jobs=N       parallel experiment jobs (default: all cores)\n"
-                 "  --out=FILE     also write JSON-lines results to FILE\n"
-                 "  --trace=FILE   write Chrome trace_event JSON to FILE\n"
+                 "  --smoke        tiny CI configuration (completes in seconds)\n");
+    if (runner) {
+      std::fprintf(stream,
+                   "  --jobs=N       parallel experiment jobs (default: all cores)\n"
+                   "  --out=FILE     also write JSON-lines results to FILE\n"
+                   "  --trace=FILE   write Chrome trace_event JSON to FILE\n");
+    }
+    std::fprintf(stream,
                  "  --faults=SPEC  inject a fault schedule, e.g.\n"
                  "                 'bdrop=0.1,stall=5ms/50ms,vqcap=8' (see src/fault)\n"
-                 "  --check        audit cross-layer invariants every quantum\n",
-                 prog);
+                 "  --check        audit cross-layer invariants every quantum\n");
   }
 
-  // Parses the shared bench flags. Unknown arguments are an error: print
-  // usage and exit(2) rather than silently ignoring a typo.
-  static BenchScale FromArgs(int argc, char** argv) {
+  // Parses the shared bench flags. Unknown arguments, and the runner flags
+  // given to a kDirect bench, are an error: print a message and exit(2)
+  // rather than silently ignoring a typo or a file that would stay empty.
+  // Output files are opened only after every argument has been accepted.
+  static BenchScale FromArgs(int argc, char** argv, BenchKind kind = BenchKind::kRunner) {
     BenchScale scale;
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
@@ -89,6 +105,15 @@ struct BenchScale {
         scale.vcpus = 2;
         scale.concurrent_vms = 2;
         scale.smoke = true;
+      } else if (kind == BenchKind::kDirect &&
+                 (std::strncmp(arg, "--jobs=", 7) == 0 || std::strncmp(arg, "--out=", 6) == 0 ||
+                  std::strncmp(arg, "--trace=", 8) == 0)) {
+        const int flag_len = static_cast<int>(std::strcspn(arg, "="));
+        std::fprintf(stderr,
+                     "%s: %.*s is not supported: this bench drives its machines directly, "
+                     "not through the experiment runner\n",
+                     argv[0], flag_len, arg);
+        std::exit(2);
       } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
         char* end = nullptr;
         const long jobs = std::strtol(arg + 7, &end, 10);
@@ -104,28 +129,12 @@ struct BenchScale {
           std::fprintf(stderr, "%s: --out needs a file path\n", argv[0]);
           std::exit(2);
         }
-        // Fail before the sweep, not after: an unwritable path must not
-        // cost minutes of simulation first.
-        std::FILE* probe = std::fopen(scale.out.c_str(), "w");
-        if (probe == nullptr) {
-          std::fprintf(stderr, "%s: cannot open '%s' for writing\n", argv[0],
-                       scale.out.c_str());
-          std::exit(2);
-        }
-        std::fclose(probe);
       } else if (std::strncmp(arg, "--trace=", 8) == 0) {
         scale.trace = arg + 8;
         if (scale.trace.empty()) {
           std::fprintf(stderr, "%s: --trace needs a file path\n", argv[0]);
           std::exit(2);
         }
-        std::FILE* probe = std::fopen(scale.trace.c_str(), "w");
-        if (probe == nullptr) {
-          std::fprintf(stderr, "%s: cannot open '%s' for writing\n", argv[0],
-                       scale.trace.c_str());
-          std::exit(2);
-        }
-        std::fclose(probe);
       } else if (std::strncmp(arg, "--faults=", 9) == 0) {
         std::string error;
         const std::optional<FaultPlan> plan = FaultPlan::Parse(arg + 9, &error);
@@ -137,13 +146,26 @@ struct BenchScale {
       } else if (std::strcmp(arg, "--check") == 0) {
         scale.check_invariants = true;
       } else if (std::strcmp(arg, "--help") == 0) {
-        Usage(argv[0], stdout);
+        Usage(argv[0], stdout, kind);
         std::exit(0);
       } else {
         std::fprintf(stderr, "%s: unrecognized argument '%s'\n", argv[0], arg);
-        Usage(argv[0], stderr);
+        Usage(argv[0], stderr, kind);
         std::exit(2);
       }
+    }
+    // Fail before the sweep, not after: an unwritable path must not cost
+    // minutes of simulation first.
+    for (const std::string* path : {&scale.out, &scale.trace}) {
+      if (path->empty()) {
+        continue;
+      }
+      std::FILE* probe = std::fopen(path->c_str(), "w");
+      if (probe == nullptr) {
+        std::fprintf(stderr, "%s: cannot open '%s' for writing\n", argv[0], path->c_str());
+        std::exit(2);
+      }
+      std::fclose(probe);
     }
     return scale;
   }

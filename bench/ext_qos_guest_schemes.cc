@@ -102,7 +102,7 @@ void RunQos(const BenchScale& scale) {
 }
 
 int Run(int argc, char** argv) {
-  const BenchScale scale = BenchScale::FromArgs(argc, argv);
+  const BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kDirect);
   RunGuestSchemes(scale);
   RunQos(scale);
   return 0;

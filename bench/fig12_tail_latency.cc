@@ -15,7 +15,7 @@ namespace demeter {
 namespace {
 
 int Run(int argc, char** argv) {
-  const BenchScale scale = BenchScale::FromArgs(argc, argv);
+  const BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kDirect);
   std::printf("Figure 12: Silo YCSB latency percentiles (microseconds, %d VMs)\n\n",
               scale.concurrent_vms);
   TablePrinter table({"design", "p50", "p90", "p95", "p99", "mean"});

@@ -39,7 +39,7 @@ void PrintHeatmap(const char* title, const std::vector<std::vector<uint64_t>>& g
 }
 
 int Run(int argc, char** argv) {
-  const BenchScale scale = BenchScale::FromArgs(argc, argv);
+  const BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kDirect);
   std::printf("Figure 4: LibLinear access heat maps, gVA vs gPA space\n\n");
 
   Machine machine(HostFor(scale, 1));

@@ -34,7 +34,7 @@ double Throughput(const BenchScale& base, ProvisionMode mode, PolicyKind policy)
 }
 
 int Run(int argc, char** argv) {
-  const BenchScale scale = BenchScale::FromArgs(argc, argv);
+  const BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kDirect);
   std::printf("Figure 6: GUPS throughput by provisioning technique (M txn/s per VM, %d VMs)\n\n",
               scale.concurrent_vms);
   TablePrinter table({"provisioning", "static-policy", "tpp", "demeter"});

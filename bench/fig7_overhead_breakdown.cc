@@ -17,7 +17,7 @@ namespace demeter {
 namespace {
 
 int Run(int argc, char** argv) {
-  const BenchScale scale = BenchScale::FromArgs(argc, argv);
+  const BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kDirect);
   std::printf("Figure 7: TMM overhead breakdown (CPU seconds, %d VMs, GUPS)\n\n",
               scale.concurrent_vms);
   TablePrinter table(

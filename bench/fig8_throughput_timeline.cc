@@ -15,7 +15,7 @@ namespace demeter {
 namespace {
 
 int Run(int argc, char** argv) {
-  BenchScale scale = BenchScale::FromArgs(argc, argv);
+  BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kDirect);
   scale.transactions *= 2;  // Longer run: show ramp, dip, and plateau.
   std::printf("Figure 8: instantaneous GUPS throughput (M txn/s, LOESS-smoothed)\n\n");
 

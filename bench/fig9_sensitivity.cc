@@ -29,7 +29,7 @@ double RuntimeWith(const BenchScale& scale, uint64_t sample_period, double laten
 }
 
 int Run(int argc, char** argv) {
-  const BenchScale scale = BenchScale::FromArgs(argc, argv);
+  const BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kDirect);
   // The scaled defaults corresponding to the paper's (4093, 64ns, 500ms, 15).
   const uint64_t kPeriod = scale.demeter_sample_period;
   const double kThreshold = 64.0;

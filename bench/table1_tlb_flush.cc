@@ -16,7 +16,7 @@ namespace demeter {
 namespace {
 
 int Run(int argc, char** argv) {
-  const BenchScale scale = BenchScale::FromArgs(argc, argv);
+  const BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kDirect);
   std::printf("Table 1: TLB flush comparison under GUPS\n\n");
   TablePrinter table({"design", "tlb-flush-single", "tlb-flush-full", "gups-elapsed-s"});
 

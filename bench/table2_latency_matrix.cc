@@ -17,8 +17,7 @@ struct Measured {
   double bandwidth_mbps = 0.0;
 };
 
-Measured MeasureTier(SmemKind smem, TierIndex target_tier) {
-  BenchScale scale;
+Measured MeasureTier(const BenchScale& scale, SmemKind smem, TierIndex target_tier) {
   Machine machine(HostFor(scale, 1, smem));
   VmSetup setup = SetupFor(scale, "gups", PolicyKind::kStatic);
   setup.vm.cache_hit_rate = 0.0;
@@ -69,7 +68,8 @@ Measured MeasureTier(SmemKind smem, TierIndex target_tier) {
   return out;
 }
 
-int Run(int, char**) {
+int Run(int argc, char** argv) {
+  const BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kDirect);
   std::printf("Table 2: memory access latency and bandwidth matrix\n\n");
   TablePrinter table({"access-to", "model-latency-ns", "measured-latency-ns", "model-bw-MB/s",
                       "measured-bw-MB/s"});
@@ -78,21 +78,21 @@ int Run(int, char**) {
                 "-", "-"});
 
   const TierSpec dram = TierSpec::LocalDram(0);
-  const Measured dram_measured = MeasureTier(SmemKind::kPmem, kFmemTier);
+  const Measured dram_measured = MeasureTier(scale, SmemKind::kPmem, kFmemTier);
   table.AddRow({"L-DRAM", TablePrinter::Fmt(dram.read_latency_ns, 1),
                 TablePrinter::Fmt(dram_measured.latency_ns, 1),
                 TablePrinter::Fmt(dram.read_bw_mbps, 1),
                 TablePrinter::Fmt(dram_measured.bandwidth_mbps, 1)});
 
   const TierSpec remote = TierSpec::RemoteDram(0);
-  const Measured remote_measured = MeasureTier(SmemKind::kCxl, kSmemTier);
+  const Measured remote_measured = MeasureTier(scale, SmemKind::kCxl, kSmemTier);
   table.AddRow({"R-DRAM", TablePrinter::Fmt(remote.read_latency_ns, 1),
                 TablePrinter::Fmt(remote_measured.latency_ns, 1),
                 TablePrinter::Fmt(remote.read_bw_mbps, 1),
                 TablePrinter::Fmt(remote_measured.bandwidth_mbps, 1)});
 
   const TierSpec pmem = TierSpec::Pmem(0);
-  const Measured pmem_measured = MeasureTier(SmemKind::kPmem, kSmemTier);
+  const Measured pmem_measured = MeasureTier(scale, SmemKind::kPmem, kSmemTier);
   table.AddRow({"L-PMEM", TablePrinter::Fmt(pmem.read_latency_ns, 1),
                 TablePrinter::Fmt(pmem_measured.latency_ns, 1),
                 TablePrinter::Fmt(pmem.read_bw_mbps, 1),

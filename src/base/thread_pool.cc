@@ -41,26 +41,6 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
   return future;
 }
 
-size_t ThreadPool::CancelPending() {
-  std::deque<std::packaged_task<void()>> dropped;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    dropped.swap(queue_);
-  }
-  idle_cv_.notify_all();
-  return dropped.size();  // Destroying the tasks breaks their promises.
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-size_t ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::packaged_task<void()> task;
@@ -72,18 +52,10 @@ void ThreadPool::WorkerLoop() {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     // packaged_task routes any exception into the job's future; the worker
     // itself never unwinds past this call.
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) {
-        idle_cv_.notify_all();
-      }
-    }
   }
 }
 

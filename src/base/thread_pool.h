@@ -3,9 +3,8 @@
 // A small mutex/condvar task queue drained by N std::jthread workers. Jobs
 // are submitted as callables and observed through std::future: a job that
 // throws poisons only its own future (the worker survives and moves on).
-// Pending-but-unstarted jobs can be cancelled in bulk; their futures fail
-// with std::future_error(broken_promise). Destruction cancels pending jobs
-// and joins after in-flight jobs finish.
+// Destruction abandons jobs no worker has started — their futures fail with
+// std::future_error(broken_promise) — and joins after in-flight jobs finish.
 //
 // The pool imposes no ordering semantics of its own — deterministic result
 // ordering is the caller's job. The ExperimentRunner lands results in
@@ -40,24 +39,14 @@ class ThreadPool {
   // exception. Must not be called after the destructor has begun.
   std::future<void> Submit(std::function<void()> fn);
 
-  // Drops every queued job that no worker has started; returns how many were
-  // dropped. In-flight jobs are unaffected.
-  size_t CancelPending();
-
-  // Blocks until the queue is empty and all workers are idle.
-  void Wait();
-
   int num_threads() const { return static_cast<int>(workers_.size()); }
-  size_t pending() const;
 
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // Queue gained work / shutdown.
-  std::condition_variable idle_cv_;   // Queue drained and workers idle.
+  std::mutex mu_;
+  std::condition_variable work_cv_;  // Queue gained work / shutdown.
   std::deque<std::packaged_task<void()>> queue_;
-  int active_ = 0;
   bool shutdown_ = false;
   std::vector<std::jthread> workers_;
 };

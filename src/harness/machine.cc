@@ -230,6 +230,14 @@ void Machine::ProvisionVm(int i, Nanos now) {
   }
 }
 
+void Machine::SetUpGuest(int i) {
+  VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
+  rt.process = &vm(i).kernel().CreateProcess();
+  workloads_[static_cast<size_t>(i)]->Setup(*rt.process, rng_);
+  InitPass(i);
+  rt.progress.assign(static_cast<size_t>(vm(i).num_vcpus()), VcpuProgress{});
+}
+
 void Machine::InitPass(int i) {
   Vm& machine_vm = vm(i);
   VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
@@ -250,6 +258,46 @@ void Machine::InitPass(int i) {
       vcpu = (vcpu + 1) % machine_vm.num_vcpus();
     }
   }
+}
+
+void Machine::StartClocks(int i, double start) {
+  Vm& machine_vm = vm(i);
+  runtimes_[static_cast<size_t>(i)].start_time = static_cast<Nanos>(start);
+  for (int v = 0; v < machine_vm.num_vcpus(); ++v) {
+    Vcpu& vcpu = machine_vm.vcpu(v);
+    vcpu.clock_ns = start;
+    vcpu.next_context_switch =
+        static_cast<Nanos>(start) + machine_vm.config().context_switch_period;
+  }
+  machine_vm.mgmt_account().Clear();  // Exclude provisioning/init overheads.
+}
+
+void Machine::AttachPolicy(int i, Nanos at) {
+  const size_t slot = static_cast<size_t>(i);
+  const VmSetup& setup = setups_[slot];
+  std::unique_ptr<TmmPolicy> policy =
+      custom_policies_[slot] != nullptr
+          ? std::move(custom_policies_[slot])
+          : MakePolicy(setup.policy, setup.demeter, setup.policy_period);
+  policy->Attach(vm(i), *runtimes_[slot].process, at);
+  policies_[slot] = std::move(policy);
+}
+
+Hypervisor::ReclaimResult Machine::TearDownVm(int i, Nanos now) {
+  VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
+  Vm& machine_vm = vm(i);
+  if (policies_[static_cast<size_t>(i)] != nullptr) {
+    policies_[static_cast<size_t>(i)]->Stop();
+  }
+  machine_vm.set_departed(true);
+  const Hypervisor::ReclaimResult reclaimed = hyper_->ReclaimVm(machine_vm);
+  rt.finished = true;  // A departed VM never runs again.
+  DeactivateVm(i);
+  rt.lifecycle.depart_ns = now;
+  rt.lifecycle.reclaimed_gpt_pages += reclaimed.gpt_unmapped;
+  rt.lifecycle.reclaimed_gpa_pages += reclaimed.gpa_freed;
+  rt.lifecycle.reclaimed_ept_pages += reclaimed.ept_unbacked;
+  return reclaimed;
 }
 
 InvariantReport Machine::CheckInvariants() {
@@ -332,73 +380,41 @@ void Machine::DeactivateVm(int i) {
   RefreshMinClock();  // Removing a member can raise the minimum.
 }
 
-void Machine::AccountOp(int i, int v, int ops_per_txn, double op_ns, Nanos clock_after) {
-  VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
-  VmRunResult& result = results_[static_cast<size_t>(i)];
-  const VmSetup& setup = setups_[static_cast<size_t>(i)];
-
-  int& in_txn = rt.ops_in_txn[static_cast<size_t>(v)];
-  SimClock& latency = rt.txn_latency_ns[static_cast<size_t>(v)];
-  latency += op_ns;
-  if (++in_txn >= ops_per_txn) {
-    in_txn = 0;
-    result.txn_latency_ns.Record(static_cast<uint64_t>(latency.value()));
-    latency = 0.0;
-    ++rt.transactions;
-    size_t bucket = static_cast<size_t>((clock_after - rt.start_time) / setup.timeline_bucket);
-    if (bucket >= kMaxTimelineBuckets) {
-      bucket = kMaxTimelineBuckets - 1;  // Overflow txns pile into the last bucket.
-    }
-    if (result.timeline.size() <= bucket) {
-      result.timeline.resize(bucket + 1, 0);
-    }
-    ++result.timeline[bucket];
-    if (rt.transactions >= setup.target_transactions) {
-      FinishVm(i, clock_after);
-    }
-  }
-}
-
 void Machine::RunVmQuantum(int i) {
-  if (!config_.batched_execution) {
-    RunVmQuantumScalar(i);
-    return;
-  }
   Vm& machine_vm = vm(i);
   VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
+  VmRunResult& result = results_[static_cast<size_t>(i)];
   Workload& wl = *workloads_[static_cast<size_t>(i)];
   const VmSetup& setup = setups_[static_cast<size_t>(i)];
   const int ops_per_txn = wl.OpsPerTransaction();
-  // Cap arithmetic below treats one-op transactions and "every op is a
-  // transaction" (ops_per_txn <= 1) identically, matching the scalar check.
+  // The cap arithmetic below treats one-op transactions and "every op is a
+  // transaction" (ops_per_txn <= 1) alike, as the per-op accounting does.
   const uint64_t opt = ops_per_txn > 1 ? static_cast<uint64_t>(ops_per_txn) : 1;
 
   for (int v = 0; v < machine_vm.num_vcpus() && !rt.finished; ++v) {
     Vcpu& vcpu = machine_vm.vcpu(v);
+    VcpuProgress& progress = rt.progress[static_cast<size_t>(v)];
     const double quantum_end = vcpu.clock_ns + static_cast<double>(config_.quantum);
-    auto& batch = rt.batches[static_cast<size_t>(v)];
-    size_t& pos = rt.batch_pos[static_cast<size_t>(v)];
     while (vcpu.clock_ns < quantum_end && !rt.finished) {
-      if (pos >= batch.size()) {
-        batch.clear();
-        pos = 0;
-        wl.NextBatch(v, config_.batch_ops, rng_, &batch);
-        DEMETER_CHECK(!batch.empty()) << "workload produced no ops";
+      if (progress.batch_pos >= progress.batch.size()) {
+        progress.batch.clear();
+        progress.batch_pos = 0;
+        wl.NextBatch(v, config_.batch_ops, rng_, &progress.batch);
+        DEMETER_CHECK(!progress.batch.empty()) << "workload produced no ops";
       }
-      // Chunk horizon: the next instant the scalar loop would have done
-      // anything between ops — the context-switch tick or the quantum end.
-      // ExecuteBatch runs ops until the clock crosses it (inclusive: the
-      // crossing op executes, exactly like the scalar post-op checks).
+      // Chunk horizon: the context-switch tick or the quantum end, whichever
+      // comes first. ExecuteBatch runs ops until the clock reaches it; the op
+      // that crosses it is the last one it runs.
       const double stop_at =
           std::min(quantum_end, static_cast<double>(vcpu.next_context_switch));
       // Never hand down ops past the transaction target: FinishVm snapshots
       // stats the moment the target transaction completes, so the op that
       // completes it must be the last op executed.
-      size_t take = batch.size() - pos;
+      size_t take = progress.batch.size() - progress.batch_pos;
       const uint64_t txns_left = setup.target_transactions - rt.transactions;
       if (txns_left <= (take + opt - 1) / opt) {
         const uint64_t ops_left =
-            txns_left * opt - static_cast<uint64_t>(rt.ops_in_txn[static_cast<size_t>(v)]);
+            txns_left * opt - static_cast<uint64_t>(progress.ops_in_txn);
         if (ops_left < take) {
           take = static_cast<size_t>(ops_left);
         }
@@ -407,75 +423,38 @@ void Machine::RunVmQuantum(int i) {
         rt.steps.resize(take);
       }
       const size_t done = machine_vm.ExecuteBatch(
-          v, *rt.process, std::span<const AccessOp>(batch.data() + pos, take), stop_at,
+          v, *rt.process,
+          std::span<const AccessOp>(progress.batch.data() + progress.batch_pos, take), stop_at,
           rt.steps.data());
-      pos += done;
-      // Per-op accounting with the container lookups hoisted to chunk scope:
-      // this is AccountOp unrolled over the chunk (same operations, same
-      // order), resolving rt/result/latency references once per chunk
-      // instead of once per op.
-      {
-        VmRunResult& result = results_[static_cast<size_t>(i)];
-        int& in_txn = rt.ops_in_txn[static_cast<size_t>(v)];
-        SimClock& latency = rt.txn_latency_ns[static_cast<size_t>(v)];
-        const BatchStep* steps = rt.steps.data();
-        for (size_t k = 0; k < done; ++k) {
-          latency += steps[k].ns;
-          if (++in_txn >= ops_per_txn) {
-            in_txn = 0;
-            result.txn_latency_ns.Record(static_cast<uint64_t>(latency.value()));
-            latency = 0.0;
-            ++rt.transactions;
-            const Nanos clock_after = steps[k].clock_after;
-            size_t bucket =
-                static_cast<size_t>((clock_after - rt.start_time) / setup.timeline_bucket);
-            if (bucket >= kMaxTimelineBuckets) {
-              bucket = kMaxTimelineBuckets - 1;  // Overflow txns pile into the last bucket.
-            }
-            if (result.timeline.size() <= bucket) {
-              result.timeline.resize(bucket + 1, 0);
-            }
-            ++result.timeline[bucket];
-            if (rt.transactions >= setup.target_transactions) {
-              FinishVm(i, clock_after);
-            }
+      progress.batch_pos += done;
+      // Per-op transaction accounting: latency, the latency histogram, the
+      // timeline bucket (capped at kMaxTimelineBuckets) and, on the target
+      // transaction, FinishVm.
+      const BatchStep* steps = rt.steps.data();
+      for (size_t k = 0; k < done; ++k) {
+        progress.txn_latency_ns += steps[k].ns;
+        if (++progress.ops_in_txn >= ops_per_txn) {
+          progress.ops_in_txn = 0;
+          result.txn_latency_ns.Record(static_cast<uint64_t>(progress.txn_latency_ns.value()));
+          progress.txn_latency_ns = 0.0;
+          ++rt.transactions;
+          const Nanos clock_after = steps[k].clock_after;
+          size_t bucket =
+              static_cast<size_t>((clock_after - rt.start_time) / setup.timeline_bucket);
+          if (bucket >= kMaxTimelineBuckets) {
+            bucket = kMaxTimelineBuckets - 1;  // Overflow txns pile into the last bucket.
+          }
+          if (result.timeline.size() <= bucket) {
+            result.timeline.resize(bucket + 1, 0);
+          }
+          ++result.timeline[bucket];
+          if (rt.transactions >= setup.target_transactions) {
+            FinishVm(i, clock_after);
           }
         }
       }
       // Timer tick / scheduler: context switches drain PEBS (Demeter hook).
-      // Runs after the chunk like the scalar loop runs it after each op —
-      // the chunk was cut at the tick, so at most the final op crossed it.
-      if (vcpu.clock_ns >= static_cast<double>(vcpu.next_context_switch)) {
-        vcpu.clock_ns += machine_vm.OnContextSwitch(v, vcpu.now());
-        vcpu.next_context_switch += machine_vm.config().context_switch_period;
-      }
-    }
-  }
-}
-
-void Machine::RunVmQuantumScalar(int i) {
-  Vm& machine_vm = vm(i);
-  VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
-  Workload& wl = *workloads_[static_cast<size_t>(i)];
-  const int ops_per_txn = wl.OpsPerTransaction();
-
-  for (int v = 0; v < machine_vm.num_vcpus() && !rt.finished; ++v) {
-    Vcpu& vcpu = machine_vm.vcpu(v);
-    const double quantum_end = vcpu.clock_ns + static_cast<double>(config_.quantum);
-    auto& batch = rt.batches[static_cast<size_t>(v)];
-    size_t& pos = rt.batch_pos[static_cast<size_t>(v)];
-    while (vcpu.clock_ns < quantum_end && !rt.finished) {
-      if (pos >= batch.size()) {
-        batch.clear();
-        pos = 0;
-        wl.NextBatch(v, config_.batch_ops, rng_, &batch);
-        DEMETER_CHECK(!batch.empty()) << "workload produced no ops";
-      }
-      const AccessOp op = batch[pos++];
-      const AccessResult r = machine_vm.ExecuteAccess(v, *rt.process, op.gva, op.is_write);
-      vcpu.clock_ns += r.ns;
-      AccountOp(i, v, ops_per_txn, r.ns, vcpu.now());
-      // Timer tick / scheduler: context switches drain PEBS (Demeter hook).
+      // The chunk was cut at the tick, so at most its last op crossed it.
       if (vcpu.clock_ns >= static_cast<double>(vcpu.next_context_switch)) {
         vcpu.clock_ns += machine_vm.OnContextSwitch(v, vcpu.now());
         vcpu.next_context_switch += machine_vm.config().context_switch_period;
@@ -527,21 +506,10 @@ void Machine::FinishVm(int i, Nanos now) {
 
 void Machine::RemoveVm(int i, Nanos now) {
   VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
-  Vm& machine_vm = vm(i);
   DEMETER_CHECK(rt.booted) << "removing never-booted vm " << i;
-  DEMETER_CHECK(!machine_vm.departed()) << "vm " << i << " removed twice";
-  if (policies_[static_cast<size_t>(i)] != nullptr) {
-    policies_[static_cast<size_t>(i)]->Stop();
-  }
-  machine_vm.set_departed(true);
-  const Hypervisor::ReclaimResult reclaimed = hyper_->ReclaimVm(machine_vm);
-  rt.finished = true;  // A departed VM never runs again.
-  DeactivateVm(i);
+  DEMETER_CHECK(!vm(i).departed()) << "vm " << i << " removed twice";
+  const Hypervisor::ReclaimResult reclaimed = TearDownVm(i, now);
   ++rt.lifecycle.departures;
-  rt.lifecycle.depart_ns = now;
-  rt.lifecycle.reclaimed_gpt_pages += reclaimed.gpt_unmapped;
-  rt.lifecycle.reclaimed_gpa_pages += reclaimed.gpa_freed;
-  rt.lifecycle.reclaimed_ept_pages += reclaimed.ept_unbacked;
   if (tracer_.enabled()) {
     tracer_.Instant("lifecycle", "depart", now, i, 0,
                     TraceArgs().Add("ept_pages", reclaimed.ept_unbacked).str());
@@ -589,37 +557,15 @@ void Machine::BootVm(int i, Nanos at) {
   DrainEvents(event_horizon_);
   MaybeAuditInvariants("post-boot");
 
-  rt.process = &machine_vm.kernel().CreateProcess();
-  workloads_[static_cast<size_t>(i)]->Setup(*rt.process, rng_);
-  InitPass(i);
-  const int vcpus = machine_vm.num_vcpus();
-  rt.batches.resize(static_cast<size_t>(vcpus));
-  rt.batch_pos.assign(static_cast<size_t>(vcpus), 0);
-  rt.ops_in_txn.assign(static_cast<size_t>(vcpus), 0);
-  rt.txn_latency_ns.assign(static_cast<size_t>(vcpus), SimClock{});
-
+  SetUpGuest(i);
   // Align this VM's vCPUs to their own max (init-pass skew), mirroring the
   // phase-3 alignment boot-time VMs get.
   double start = 0.0;
-  for (int v = 0; v < vcpus; ++v) {
+  for (int v = 0; v < machine_vm.num_vcpus(); ++v) {
     start = std::max(start, machine_vm.vcpu(v).clock_ns.value());
   }
-  rt.start_time = static_cast<Nanos>(start);
-  for (int v = 0; v < vcpus; ++v) {
-    Vcpu& vcpu = machine_vm.vcpu(v);
-    vcpu.clock_ns = start;
-    vcpu.next_context_switch =
-        static_cast<Nanos>(start) + machine_vm.config().context_switch_period;
-  }
-  machine_vm.mgmt_account().Clear();
-
-  auto policy = custom_policies_[static_cast<size_t>(i)] != nullptr
-                    ? std::move(custom_policies_[static_cast<size_t>(i)])
-                    : MakePolicy(setups_[static_cast<size_t>(i)].policy,
-                                 setups_[static_cast<size_t>(i)].demeter,
-                                 setups_[static_cast<size_t>(i)].policy_period);
-  policy->Attach(machine_vm, *rt.process, static_cast<Nanos>(start));
-  policies_[static_cast<size_t>(i)] = std::move(policy);
+  StartClocks(i, start);
+  AttachPolicy(i, static_cast<Nanos>(start));
   // The machine-wide registration pass already ran (phase 4); register the
   // late policy's counters now.
   policies_[static_cast<size_t>(i)]->RegisterMetrics(
@@ -665,18 +611,9 @@ void Machine::StartRun() {
 
   // Phase 2: workload setup + init pass.
   for (int i = 0; i < num_vms(); ++i) {
-    VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
-    if (!rt.booted) {
-      continue;
+    if (runtimes_[static_cast<size_t>(i)].booted) {
+      SetUpGuest(i);
     }
-    rt.process = &vm(i).kernel().CreateProcess();
-    workloads_[static_cast<size_t>(i)]->Setup(*rt.process, rng_);
-    InitPass(i);
-    const int vcpus = vm(i).num_vcpus();
-    rt.batches.resize(static_cast<size_t>(vcpus));
-    rt.batch_pos.assign(static_cast<size_t>(vcpus), 0);
-    rt.ops_in_txn.assign(static_cast<size_t>(vcpus), 0);
-    rt.txn_latency_ns.assign(static_cast<size_t>(vcpus), SimClock{});
   }
 
   // Phase 3: align all clocks so VMs contend from the same instant.
@@ -690,33 +627,16 @@ void Machine::StartRun() {
     }
   }
   for (int i = 0; i < num_vms(); ++i) {
-    VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
-    if (!rt.booted) {
-      continue;
+    if (runtimes_[static_cast<size_t>(i)].booted) {
+      StartClocks(i, global_start);
     }
-    rt.start_time = static_cast<Nanos>(global_start);
-    for (int v = 0; v < vm(i).num_vcpus(); ++v) {
-      Vcpu& vcpu = vm(i).vcpu(v);
-      vcpu.clock_ns = global_start;
-      vcpu.next_context_switch =
-          static_cast<Nanos>(global_start) + vm(i).config().context_switch_period;
-    }
-    vm(i).mgmt_account().Clear();  // Exclude provisioning/init overheads.
   }
 
   // Phase 4: attach policies (custom instances take precedence).
   for (int i = 0; i < num_vms(); ++i) {
-    if (!runtimes_[static_cast<size_t>(i)].booted) {
-      continue;
+    if (runtimes_[static_cast<size_t>(i)].booted) {
+      AttachPolicy(i, static_cast<Nanos>(global_start));
     }
-    auto policy = custom_policies_[static_cast<size_t>(i)] != nullptr
-                      ? std::move(custom_policies_[static_cast<size_t>(i)])
-                      : MakePolicy(setups_[static_cast<size_t>(i)].policy,
-                                   setups_[static_cast<size_t>(i)].demeter,
-                                   setups_[static_cast<size_t>(i)].policy_period);
-    policy->Attach(vm(i), *runtimes_[static_cast<size_t>(i)].process,
-                   static_cast<Nanos>(global_start));
-    policies_[static_cast<size_t>(i)] = std::move(policy);
   }
   RegisterAllMetrics();
 
@@ -865,10 +785,7 @@ MigratedVm Machine::ExtractVm(int i, Nanos now) {
     out.next_context_switch.push_back(machine_vm.vcpu(v).next_context_switch);
   }
   out.workload = std::move(workloads_[static_cast<size_t>(i)]);
-  out.batches = std::move(rt.batches);
-  out.batch_pos = std::move(rt.batch_pos);
-  out.ops_in_txn = std::move(rt.ops_in_txn);
-  out.txn_latency_ns = std::move(rt.txn_latency_ns);
+  out.progress = std::move(rt.progress);
   out.transactions = rt.transactions;
   out.start_time = rt.start_time;
   out.txn_latency_hist = std::move(results_[static_cast<size_t>(i)].txn_latency_ns);
@@ -876,18 +793,8 @@ MigratedVm Machine::ExtractVm(int i, Nanos now) {
 
   // Drain this host like a departure: the departed-VM emptiness audit must
   // hold here from now on. The Vm object stays alive for late events.
-  if (policies_[static_cast<size_t>(i)] != nullptr) {
-    policies_[static_cast<size_t>(i)]->Stop();
-  }
-  machine_vm.set_departed(true);
-  const Hypervisor::ReclaimResult reclaimed = hyper_->ReclaimVm(machine_vm);
-  rt.finished = true;
-  DeactivateVm(i);
+  TearDownVm(i, now);
   ++rt.lifecycle.migrated_out;
-  rt.lifecycle.depart_ns = now;
-  rt.lifecycle.reclaimed_gpt_pages += reclaimed.gpt_unmapped;
-  rt.lifecycle.reclaimed_gpa_pages += reclaimed.gpa_freed;
-  rt.lifecycle.reclaimed_ept_pages += reclaimed.ept_unbacked;
   if (tracer_.enabled()) {
     tracer_.Instant("lifecycle", "migrate_out", now, i, 0,
                     TraceArgs().Add("pages", out.image.num_pages()).str());
@@ -920,10 +827,7 @@ int Machine::AdoptVm(MigratedVm&& moved, Nanos now, double extra_downtime_ns) {
   rt.migrated_tlb = moved.tlb;
   workloads_[static_cast<size_t>(i)] = std::move(moved.workload);
   machine_vm.set_cache_hit_rate(workloads_[static_cast<size_t>(i)]->CacheHitRate());
-  rt.batches = std::move(moved.batches);
-  rt.batch_pos = std::move(moved.batch_pos);
-  rt.ops_in_txn = std::move(moved.ops_in_txn);
-  rt.txn_latency_ns = std::move(moved.txn_latency_ns);
+  rt.progress = std::move(moved.progress);
   rt.transactions = moved.transactions;
   rt.start_time = moved.start_time;
   results_[static_cast<size_t>(i)].txn_latency_ns = std::move(moved.txn_latency_hist);
@@ -950,9 +854,7 @@ int Machine::AdoptVm(MigratedVm&& moved, Nanos now, double extra_downtime_ns) {
 
   // Fresh policy instance on the destination (classification restarts cold,
   // as a real migration would): attach, then register this VM's metrics.
-  auto policy = MakePolicy(setup.policy, setup.demeter, setup.policy_period);
-  policy->Attach(machine_vm, *rt.process, static_cast<Nanos>(resume));
-  policies_[static_cast<size_t>(i)] = std::move(policy);
+  AttachPolicy(i, static_cast<Nanos>(resume));
   RegisterVmMetricsFor(i);
   // Activate before the drain below: its refresh must see this VM in case
   // the fresh policy's first timer lands inside the drain horizon.

@@ -3,8 +3,10 @@
 // attaches a TMM policy per VM, and drives the workloads to a transaction
 // target in lock-stepped vCPU quanta over shared virtual time.
 //
-// All bench binaries (one per paper table/figure) are thin wrappers around
-// this class.
+// Benches, tools and examples build their hosts from this class: through
+// the experiment runner (src/runner), through Cluster (src/cluster) for
+// fleets, or by driving a Machine directly. Only the micro-benchmarks and
+// examples/cloud_consolidation drive a Hypervisor without one.
 
 #ifndef DEMETER_SRC_HARNESS_MACHINE_H_
 #define DEMETER_SRC_HARNESS_MACHINE_H_
@@ -80,13 +82,6 @@ struct MachineConfig {
   // default; benches that oversubscribe FMEM turn it on. Enabled configs
   // fold into the runner's spec content hash.
   OvercommitConfig overcommit;
-  // Hand whole workload batches to Vm::ExecuteBatch instead of one
-  // ExecuteAccess per op. A pure execution-strategy switch: both paths
-  // produce byte-identical simulation output (the batched-vs-scalar
-  // property test pins this), so — like capture_trace — it is excluded
-  // from the runner's spec content hash. The scalar path is kept for that
-  // test and for bisecting any future divergence.
-  bool batched_execution = true;
 };
 
 // Hard cap on a VM's throughput-timeline length. A vCPU parked far past its
@@ -143,12 +138,25 @@ struct VmRunResult {
   }
 };
 
+// One vCPU's place in its workload stream and in its current transaction.
+// The harness keeps one per vCPU while the VM runs, and a live migration
+// carries them to the destination.
+struct VcpuProgress {
+  std::vector<AccessOp> batch;  // Ops fetched from the workload generator.
+  size_t batch_pos = 0;         // Next op of `batch` to execute.
+  int ops_in_txn = 0;           // Ops so far in the current transaction.
+  // Accumulated latency of the current transaction. Compensated like the
+  // vCPU clock — at long virtual horizons a plain double sum drops sub-ulp
+  // op costs, skewing recorded latencies.
+  SimClock txn_latency_ns;
+};
+
 // Everything a live migration carries between Machines: the resolved setup,
 // the workload generator (its internal cursor keeps streaming where it left
 // off), the captured memory image, accumulated stats/accounts, per-vCPU
-// progress (clocks, batch cursors, partial-transaction latency), and the
-// partial result series built so far. Produced by Machine::ExtractVm on the
-// source; consumed exactly once by Machine::AdoptVm on the destination.
+// clocks and progress, and the partial result series built so far.
+// Produced by Machine::ExtractVm on the source; consumed exactly once by
+// Machine::AdoptVm on the destination.
 struct MigratedVm {
   VmSetup setup;
   std::unique_ptr<Workload> workload;
@@ -158,10 +166,7 @@ struct MigratedVm {
   TlbStats tlb;  // Whole-life aggregate (includes earlier migrations).
   std::vector<double> vcpu_clock_ns;
   std::vector<Nanos> next_context_switch;
-  std::vector<std::vector<AccessOp>> batches;
-  std::vector<size_t> batch_pos;
-  std::vector<int> ops_in_txn;
-  std::vector<SimClock> txn_latency_ns;
+  std::vector<VcpuProgress> progress;
   uint64_t transactions = 0;
   Nanos start_time = 0;
   Histogram txn_latency_hist;
@@ -298,14 +303,8 @@ class Machine {
 
   struct VmRuntime {
     GuestProcess* process = nullptr;
-    std::vector<std::vector<AccessOp>> batches;  // Per vCPU.
-    std::vector<size_t> batch_pos;
-    std::vector<int> ops_in_txn;  // Per vCPU: ops so far in current txn.
-    // Per vCPU: accumulated latency of the current transaction. Compensated
-    // like the vCPU clock — at long virtual horizons a plain double sum
-    // drops sub-ulp op costs, skewing recorded latencies.
-    std::vector<SimClock> txn_latency_ns;
-    std::vector<BatchStep> steps;  // ExecuteBatch scratch (batched path).
+    std::vector<VcpuProgress> progress;  // Per vCPU.
+    std::vector<BatchStep> steps;        // ExecuteBatch scratch.
     uint64_t transactions = 0;
     Nanos start_time = 0;
     bool booted = false;
@@ -327,17 +326,28 @@ class Machine {
   void ActivateVm(int i);
   void DeactivateVm(int i);
 
+  // VM lifecycle steps shared by StartRun (VMs that boot with the machine),
+  // BootVm (mid-run boots), ExtractVm/AdoptVm (live migration) and RemoveVm
+  // (departures).
   void ProvisionVm(int i, Nanos now);
+  // Creates the guest process, sets the workload up in it, runs the init
+  // pass and resets every vCPU's progress.
+  void SetUpGuest(int i);
   void InitPass(int i);
+  // Starts VM i's run at `start`: its start time, every vCPU clock and
+  // context-switch tick, and a management account cleared of provisioning
+  // and init-pass work.
+  void StartClocks(int i, double start);
+  // Attaches VM i's policy (a SetCustomPolicy instance, else a fresh one
+  // built from its setup) at virtual time `at`.
+  void AttachPolicy(int i, Nanos at);
+  // Stops VM i's policy, marks it departed, reclaims everything it holds
+  // here and takes it out of the main loop at `now`. Returns what was
+  // reclaimed; the caller counts why the VM left.
+  Hypervisor::ReclaimResult TearDownVm(int i, Nanos now);
+
   void MaybeAuditInvariants(const char* where);
   void RunVmQuantum(int i);
-  // Legacy one-op-at-a-time quantum body (config.batched_execution=false).
-  void RunVmQuantumScalar(int i);
-  // Per-op transaction accounting shared verbatim by both quantum bodies:
-  // latency accumulation, txn-latency histogram, timeline bucketing (capped
-  // at kMaxTimelineBuckets), and the transaction-target FinishVm trigger.
-  // `clock_after` is the vCPU's integer clock right after the op landed.
-  void AccountOp(int i, int v, int ops_per_txn, double op_ns, Nanos clock_after);
   void FinishVm(int i, Nanos now);
   // Mid-run boot of a deferred VM at virtual time `at`: provision, workload
   // setup + init pass, policy attach, late policy-metric registration.

@@ -50,7 +50,8 @@ Vm::Vm(const VmConfig& config, Hypervisor* host)
 }
 
 AccessResult Vm::ExecuteAccess(int vcpu_id, GuestProcess& process, uint64_t gva, bool is_write) {
-  return ExecuteAccessImpl(vcpu(vcpu_id), process, gva, is_write, /*memo=*/nullptr);
+  RunMemo memo;  // Fresh: no run to continue, so it never matches.
+  return ExecuteAccessImpl(vcpu(vcpu_id), process, gva, is_write, memo);
 }
 
 size_t Vm::ExecuteBatch(int vcpu_id, GuestProcess& process, std::span<const AccessOp> ops,
@@ -60,13 +61,13 @@ size_t Vm::ExecuteBatch(int vcpu_id, GuestProcess& process, std::span<const Acce
   size_t done = 0;
   while (done < ops.size()) {
     const AccessOp& op = ops[done];
-    const AccessResult r = ExecuteAccessImpl(v, process, op.gva, op.is_write, &memo);
+    const AccessResult r = ExecuteAccessImpl(v, process, op.gva, op.is_write, memo);
     v.clock_ns += r.ns;
     steps[done] = BatchStep{r.ns, v.now()};
     ++done;
-    // Mirror the scalar loop's post-op horizon check: at least one op runs,
-    // and the op that crosses the horizon is included (then we stop, so the
-    // caller can account it and service the context-switch tick).
+    // Post-op horizon check: at least one op runs, and the op that crosses
+    // the horizon is included (then we stop, so the caller can account it
+    // and service the context-switch tick).
     if (!(v.clock_ns < stop_at_ns)) {
       break;
     }
@@ -75,7 +76,7 @@ size_t Vm::ExecuteBatch(int vcpu_id, GuestProcess& process, std::span<const Acce
 }
 
 AccessResult Vm::ExecuteAccessImpl(Vcpu& v, GuestProcess& process, uint64_t gva, bool is_write,
-                                   RunMemo* memo) {
+                                   RunMemo& memo) {
   ++v.accesses;
   ++stats_.accesses;
   if (is_write) {
@@ -88,8 +89,8 @@ AccessResult Vm::ExecuteAccessImpl(Vcpu& v, GuestProcess& process, uint64_t gva,
     double ns = kL2HitLatencyNs;
     const double pmi = v.pebs->OnAccess(gva, kL2HitLatencyNs, is_write, now);
     ns += pmi;
-    if (pmi != 0.0 && memo != nullptr) {
-      memo->vpn = RunMemo::kNone;  // The PMI handler may have moved pages.
+    if (pmi != 0.0) {
+      memo.vpn = RunMemo::kNone;  // The PMI handler may have moved pages.
     }
     stats_.total_access_ns += ns;
     return AccessResult{ns, /*cache_hit=*/true, kFmemTier};
@@ -108,31 +109,32 @@ AccessResult Vm::ExecuteAccessImpl(Vcpu& v, GuestProcess& process, uint64_t gva,
   // batch translated this very page and nothing since could have moved it
   // (the memo is dropped on any PMI or poison recovery, and the page's own
   // TLB entry is pinned by being the most recently touched). Costs and
-  // counters are exactly those of a scalar TLB hit — including the dirty
-  // micro-walk, done once per run (it is idempotent and counter-free) and
-  // the per-access poison draw — only the set scan is skipped.
-  if (memo != nullptr && memo->vpn == vpn) {
+  // counters are exactly those of a TLB hit through the full pipeline —
+  // including the dirty micro-walk, done once per run (it is idempotent and
+  // counter-free) and the per-access poison draw — only the set scan is
+  // skipped.
+  if (memo.vpn == vpn) {
     total += config_.mmu_costs.tlb_hit_ns;
     v.tlb.CountCoalescedHit();
-    if (is_write && !memo->dirty_done) {
+    if (is_write && !memo.dirty_done) {
       const PageTable::WalkResult gpt_leaf =
           process.gpt().Translate(vpn, /*is_write=*/true, /*set_bits=*/true);
       if (gpt_leaf.present) {
         ept_.Translate(gpt_leaf.target, /*is_write=*/true, /*set_bits=*/true);
       }
-      memo->dirty_done = true;
+      memo.dirty_done = true;
     }
-    t = memo->tier;
-    tr.frame = memo->frame;
+    t = memo.tier;
+    tr.frame = memo.frame;
     tr.tlb_hit = true;
     translated = true;
     if (fault != nullptr && t < kMaxFaultTiers && poison_armed_[static_cast<size_t>(t)]) {
       poison_drawn = true;
       const FaultSite site = t == kFmemTier ? FaultSite::kPoisonFmem : FaultSite::kPoisonSmem;
       if (fault->ShouldInject(site, id())) {
-        memo->vpn = RunMemo::kNone;  // Recovery unmaps + flushes the page.
+        memo.vpn = RunMemo::kNone;  // Recovery unmaps + flushes the page.
         total += host_->OnMemoryError(*this, process, vpn, now);
-        translated = false;  // Retry through the full loop, like scalar.
+        translated = false;  // Retry through the full translation loop.
       }
     }
   }
@@ -218,19 +220,17 @@ AccessResult Vm::ExecuteAccessImpl(Vcpu& v, GuestProcess& process, uint64_t gva,
   }
   const double pmi = v.pebs->OnAccess(gva, mem, is_write, now);
   total += pmi;
-  if (memo != nullptr) {
-    if (pmi != 0.0 || t == kSwapTier) {
-      // A PMI handler may migrate pages and flush TLBs; a far-tier access
-      // must re-fault every time. Either way, no run to continue.
-      memo->vpn = RunMemo::kNone;
-    } else {
-      // Start (or continue) the run. The page is live in the TLB here: a
-      // hit kept its entry, a miss just inserted it.
-      memo->dirty_done = (memo->vpn == vpn && memo->dirty_done) || is_write;
-      memo->vpn = vpn;
-      memo->frame = tr.frame;
-      memo->tier = t;
-    }
+  if (pmi != 0.0 || t == kSwapTier) {
+    // A PMI handler may migrate pages and flush TLBs; a far-tier access
+    // must re-fault every time. Either way, no run to continue.
+    memo.vpn = RunMemo::kNone;
+  } else {
+    // Start (or continue) the run. The page is live in the TLB here: a
+    // hit kept its entry, a miss just inserted it.
+    memo.dirty_done = (memo.vpn == vpn && memo.dirty_done) || is_write;
+    memo.vpn = vpn;
+    memo.frame = tr.frame;
+    memo.tier = t;
   }
   stats_.total_access_ns += total;
   return AccessResult{total, /*cache_hit=*/false, t};

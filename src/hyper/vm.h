@@ -143,19 +143,19 @@ class Vm {
   AccessResult ExecuteAccess(int vcpu_id, GuestProcess& process, uint64_t gva, bool is_write);
 
   // Executes `ops` front to back on `vcpu_id`, advancing the vCPU clock
-  // after each op (the scalar caller's `clock_ns += r.ns`) and recording
-  // each op's cost + post-op clock into steps[k]. Stops early — always
-  // after at least one op — once the clock reaches `stop_at_ns` (the
-  // caller's next horizon: quantum end or context-switch tick, whichever
-  // comes first). Returns the number of ops executed; `steps` must have
-  // room for ops.size() entries.
+  // by each op's cost and recording each op's cost + post-op clock into
+  // steps[k]. Stops early — always after at least one op — once the clock
+  // reaches `stop_at_ns` (the caller's next horizon: quantum end or
+  // context-switch tick, whichever comes first). Returns the number of ops
+  // executed; `steps` must have room for ops.size() entries.
   //
-  // Observable behaviour (stats, RNG draws, TLB/PEBS/tier state, costs) is
-  // bit-identical to calling ExecuteAccess op by op. Batching adds one
-  // private speedup: consecutive non-cache-hit accesses to the same page
-  // coalesce into a run whose TLB probe and dirty micro-walk happen once
-  // (see ExecuteAccessImpl's memo) — a pure execution-strategy change that
-  // the batched-vs-scalar property test locks in.
+  // Observable behaviour (stats, RNG draws, TLB/PEBS/tier state, A/D bits,
+  // costs) is bit-identical to calling ExecuteAccess op by op and adding
+  // each cost to the clock. Batching adds one private speedup: consecutive
+  // non-cache-hit accesses to the same page coalesce into a run whose TLB
+  // probe and dirty micro-walk happen once (see ExecuteAccessImpl's memo),
+  // which tests/batch_equivalence_test.cc checks against that op-by-op
+  // reference.
   size_t ExecuteBatch(int vcpu_id, GuestProcess& process, std::span<const AccessOp> ops,
                       double stop_at_ns, BatchStep* steps);
 
@@ -218,10 +218,11 @@ class Vm {
     bool dirty_done = false;  // D bit already set in both dimensions.
   };
 
-  // The access pipeline shared by ExecuteAccess (memo == nullptr: exact
-  // legacy behaviour) and ExecuteBatch (memo tracks same-page runs).
+  // The access pipeline behind ExecuteBatch (the memo tracks same-page
+  // runs across one batch) and ExecuteAccess (a fresh memo per access,
+  // which never matches).
   AccessResult ExecuteAccessImpl(Vcpu& v, GuestProcess& process, uint64_t gva, bool is_write,
-                                 RunMemo* memo);
+                                 RunMemo& memo);
 
   // Charges a page-sized transfer against the host tier backing `gpa`.
   double PageCopyCost(PageNum src_gpa, PageNum dst_gpa, Nanos now);

@@ -26,12 +26,6 @@ size_t ExperimentRunner::Submit(ExperimentSpec spec) {
   return specs_.size() - 1;
 }
 
-void ExperimentRunner::SubmitAll(std::vector<ExperimentSpec> specs) {
-  for (ExperimentSpec& spec : specs) {
-    Submit(std::move(spec));
-  }
-}
-
 ExperimentResult ExperimentRunner::RunWithRetry(const ExperimentSpec& spec) {
   ExperimentResult result;
   for (int attempt = 1; attempt <= options_.max_attempts; ++attempt) {

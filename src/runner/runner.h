@@ -46,7 +46,6 @@ class ExperimentRunner {
   // Registers a spec; returns its index == its slot in RunAll()'s result
   // vector. Call before RunAll.
   size_t Submit(ExperimentSpec spec);
-  void SubmitAll(std::vector<ExperimentSpec> specs);
 
   // Runs every submitted spec to completion (one-shot) and returns results
   // in submission order.

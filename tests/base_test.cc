@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <future>
 #include <memory>
@@ -313,48 +312,6 @@ TEST(ThreadPoolTest, ExceptionIsolation) {
     future.get();  // Workers outlive the throwing job.
   }
   EXPECT_EQ(survived.load(), 16);
-}
-
-TEST(ThreadPoolTest, CancelPendingDropsOnlyUnstartedJobs) {
-  ThreadPool pool(1);
-  std::promise<void> gate;
-  std::shared_future<void> open = gate.get_future().share();
-  std::promise<void> started;
-  std::atomic<int> ran{0};
-  // Occupies the single worker until the gate opens.
-  auto blocker = pool.Submit([open, &started, &ran] {
-    started.set_value();
-    open.wait();
-    ran.fetch_add(1);
-  });
-  started.get_future().wait();  // The blocker is in flight, not queued.
-  std::vector<std::future<void>> queued;
-  for (int i = 0; i < 8; ++i) {
-    queued.push_back(pool.Submit([&ran] { ran.fetch_add(1); }));
-  }
-  const size_t dropped = pool.CancelPending();
-  EXPECT_EQ(dropped, 8u);
-  gate.set_value();
-  blocker.get();
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 1);  // Only the in-flight job ran.
-  for (auto& future : queued) {
-    EXPECT_THROW(future.get(), std::future_error);  // broken_promise
-  }
-}
-
-TEST(ThreadPoolTest, WaitBlocksUntilIdle) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      done.fetch_add(1);
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 10);
-  EXPECT_EQ(pool.pending(), 0u);
 }
 
 TEST(ThreadPoolTest, DestructorAbandonsPendingJobs) {

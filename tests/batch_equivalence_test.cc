@@ -1,40 +1,45 @@
-// Batched-vs-scalar equivalence: Machine's batched execution path
-// (Vm::ExecuteBatch with same-page run coalescing, chunk horizons, and the
-// SoA TLB probe) must be a pure execution-strategy change. For every
-// workload generator, fault-free and faulted, two- and three-tier, the
+// Run-memo equivalence: Vm::ExecuteBatch coalesces consecutive accesses to
+// one page into a run whose TLB probe and dirty micro-walk happen once
+// (ExecuteAccessImpl's memo). That must change nothing a simulation can
+// observe. Two identical machines start their run and take the same
+// generated batches: one runs each batch as a single ExecuteBatch, the other
+// calls ExecuteAccess op by op (a fresh memo per access, which never
+// matches) and advances the vCPU clock itself. Per-op costs and clocks, the
 // full metric registry — TLB hits/misses/flushes, walk costs, tier access
 // counters, fault injections, swap traffic, PEBS/PMI counts, policy
-// migrations — and every per-VM result field must be byte-identical to the
-// legacy one-ExecuteAccess-per-op path.
+// migrations — and every GPT and EPT leaf with its Accessed and Dirty bits
+// must be byte-identical, for every workload generator, fault-free and
+// faulted, two- and three-tier.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/fault/fault.h"
 #include "src/harness/machine.h"
 
 namespace demeter {
 namespace {
 
-struct RunOutput {
-  uint64_t transactions = 0;
-  double elapsed_s = 0.0;
-  double fmem_access_fraction = 0.0;
-  std::vector<uint64_t> timeline;
-  std::string metrics_json;  // Full machine registry, stable-ordered.
-};
+constexpr size_t kBatchOps = 512;  // The harness default (MachineConfig).
 
 struct RunSpec {
   std::string workload = "gups";
   PolicyKind policy = PolicyKind::kStatic;
   std::string fault_spec;
   bool three_tier = false;
-  uint64_t target_transactions = 60000;
+  Nanos run_ns = 40 * kMillisecond;  // Virtual time each vCPU runs.
 };
 
-RunOutput RunOnce(const RunSpec& spec, bool batched) {
+// Builds the host and VM and runs StartRun: provisioning, workload setup,
+// the init pass and policy attach, all through the machine's own code.
+std::unique_ptr<Machine> StartMachine(const RunSpec& spec) {
   MachineConfig host;
   if (spec.three_tier) {
     // FMEM + SMEM deliberately smaller than the footprint so EPT populates
@@ -45,58 +50,113 @@ RunOutput RunOnce(const RunSpec& spec, bool batched) {
     host.tiers = {TierSpec::LocalDram(10 * kMiB), TierSpec::Pmem(64 * kMiB)};
   }
   host.seed = 42;
-  host.batched_execution = batched;
   if (!spec.fault_spec.empty()) {
     const auto plan = FaultPlan::Parse(spec.fault_spec);
     EXPECT_TRUE(plan.has_value()) << spec.fault_spec;
     host.faults = *plan;
   }
-  Machine machine(host);
+  auto machine = std::make_unique<Machine>(host);
   VmSetup setup;
   setup.vm.total_memory_bytes = 32 * kMiB;
   setup.vm.num_vcpus = 2;
   setup.workload = spec.workload;
   setup.footprint_bytes = 24 * kMiB;
-  setup.target_transactions = spec.target_transactions;
   setup.policy = spec.policy;
   setup.policy_period = 15 * kMillisecond;
   setup.demeter.range.epoch_length = 10 * kMillisecond;
   setup.demeter.range.split_threshold = 4.0;
   setup.demeter.sample_period = 97;
-  const int i = machine.AddVm(setup);
-  machine.Run();
+  machine->AddVm(setup);
+  machine->StartRun();
+  return machine;
+}
 
-  RunOutput out;
-  const VmRunResult& r = machine.result(i);
-  out.transactions = r.transactions;
-  out.elapsed_s = r.elapsed_s;
-  out.fmem_access_fraction = r.fmem_access_fraction;
-  out.timeline = r.timeline;
-  out.metrics_json = machine.SnapshotMetrics().ToJson();
-  return out;
+Nanos MinClock(const Vm& vm) {
+  Nanos min_clock = std::numeric_limits<Nanos>::max();
+  for (int v = 0; v < vm.num_vcpus(); ++v) {
+    min_clock = std::min(min_clock, vm.vcpu(v).now());
+  }
+  return min_clock;
+}
+
+// Services every context-switch tick the vCPU's clock has passed.
+void ServiceTicks(Vm& vm, int v) {
+  Vcpu& vcpu = vm.vcpu(v);
+  while (vcpu.clock_ns >= static_cast<double>(vcpu.next_context_switch)) {
+    vcpu.clock_ns += vm.OnContextSwitch(v, vcpu.now());
+    vcpu.next_context_switch += vm.config().context_switch_period;
+  }
+}
+
+using Leaf = std::tuple<PageNum, uint64_t, bool, bool>;  // vpn, target, A, D.
+
+std::vector<Leaf> Leaves(const PageTable& table) {
+  std::vector<Leaf> leaves;
+  table.ForEachPresent(0, PageTable::kMaxPage,
+                       [&leaves](PageNum vpn, uint64_t target, bool accessed, bool dirty) {
+                         leaves.emplace_back(vpn, target, accessed, dirty);
+                       });
+  return leaves;
 }
 
 void ExpectIdentical(const RunSpec& spec) {
-  SCOPED_TRACE(spec.workload + (spec.fault_spec.empty() ? "" : " faults=" + spec.fault_spec) +
+  SCOPED_TRACE(spec.workload + " " + PolicyKindName(spec.policy) +
+               (spec.fault_spec.empty() ? "" : " faults=" + spec.fault_spec) +
                (spec.three_tier ? " three-tier" : ""));
-  const RunOutput scalar = RunOnce(spec, /*batched=*/false);
-  const RunOutput batched = RunOnce(spec, /*batched=*/true);
-  EXPECT_EQ(scalar.transactions, batched.transactions);
-  // Bit-identical, not approximately equal: the batched path must perform
-  // the exact same floating-point accumulations in the exact same order.
-  EXPECT_EQ(scalar.elapsed_s, batched.elapsed_s);
-  EXPECT_EQ(scalar.fmem_access_fraction, batched.fmem_access_fraction);
-  EXPECT_EQ(scalar.timeline, batched.timeline);
-  EXPECT_EQ(scalar.metrics_json, batched.metrics_json);
+  std::unique_ptr<Machine> batched = StartMachine(spec);
+  std::unique_ptr<Machine> stepped = StartMachine(spec);
+  Vm& batched_vm = batched->vm(0);
+  Vm& stepped_vm = stepped->vm(0);
+  GuestProcess& batched_proc = *batched_vm.kernel().processes().front();
+  GuestProcess& stepped_proc = *stepped_vm.kernel().processes().front();
+  ASSERT_EQ(MinClock(batched_vm), MinClock(stepped_vm));
+
+  const Nanos end = MinClock(batched_vm) + spec.run_ns;
+  Rng rng(7);
+  std::vector<AccessOp> batch;
+  std::vector<BatchStep> steps;
+  uint64_t ops = 0;
+  for (int round = 0; MinClock(batched_vm) < end; ++round) {
+    for (int v = 0; v < batched_vm.num_vcpus(); ++v) {
+      batch.clear();
+      batched->workload(0)->NextBatch(v, kBatchOps, rng, &batch);
+      steps.resize(batch.size());
+      ASSERT_EQ(batched_vm.ExecuteBatch(v, batched_proc, batch,
+                                        std::numeric_limits<double>::infinity(), steps.data()),
+                batch.size());
+      Vcpu& vcpu = stepped_vm.vcpu(v);
+      for (size_t k = 0; k < batch.size(); ++k) {
+        const AccessResult r =
+            stepped_vm.ExecuteAccess(v, stepped_proc, batch[k].gva, batch[k].is_write);
+        vcpu.clock_ns += r.ns;
+        // Bit-identical, not approximately equal: both paths must perform
+        // the same floating-point accumulations in the same order.
+        if (r.ns != steps[k].ns || vcpu.now() != steps[k].clock_after) {
+          FAIL() << "round " << round << " vcpu " << v << " op " << k << ": batched "
+                 << steps[k].ns << " ns to clock " << steps[k].clock_after << ", op by op "
+                 << r.ns << " ns to clock " << vcpu.now();
+        }
+      }
+      ops += batch.size();
+      ServiceTicks(batched_vm, v);
+      ServiceTicks(stepped_vm, v);
+    }
+    batched->events().RunUntil(MinClock(batched_vm));
+    stepped->events().RunUntil(MinClock(stepped_vm));
+  }
+  EXPECT_GT(ops, 0u);
+  EXPECT_EQ(batched->SnapshotMetrics().ToJson(), stepped->SnapshotMetrics().ToJson());
+  EXPECT_EQ(Leaves(batched_proc.gpt()), Leaves(stepped_proc.gpt()));
+  EXPECT_EQ(Leaves(batched_vm.ept()), Leaves(stepped_vm.ept()));
 }
 
-// Every workload generator, fault-free. Access patterns span uniform-random
-// (gups), skewed (gups-hot), pointer-chasing (btree, graph500), scans with
-// high run-length (bwaves, liblinear) and transactional mixes (silo) — the
+// Every workload generator. Access patterns span uniform-random (gups),
+// skewed (gups-hot), pointer-chasing (btree, graph500), scans with high
+// run-length (bwaves, liblinear) and transactional mixes (silo) — the
 // run-coalescing memo fires at very different rates across these.
 class BatchEquivalenceWorkloads : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(BatchEquivalenceWorkloads, ScalarAndBatchedByteIdentical) {
+TEST_P(BatchEquivalenceWorkloads, BatchedAndOpByOpByteIdentical) {
   RunSpec spec;
   spec.workload = GetParam();
   ExpectIdentical(spec);
@@ -123,10 +183,13 @@ TEST(BatchEquivalence, SequentialWorkloadWithPolicy) {
 
 // Faulted: hwpoison on both tiers (per-access Bernoulli draws — the most
 // order-sensitive site), stall windows, PEBS sample loss, migration
-// failures. Counters include every vm0/fault/<site>_injected cell.
+// failures. Counters include every vm0/fault/<site>_injected cell. The
+// faulted runs are longer so that poison recoveries, which drop the memo
+// mid-run, actually happen.
 TEST(BatchEquivalence, FaultedPoisonAndStalls) {
   RunSpec spec;
   spec.policy = PolicyKind::kDemeter;
+  spec.run_ns = 200 * kMillisecond;
   spec.fault_spec = "poison=0.000002@0,poison=0.000002@1,stall=2ms/40ms,pebsdrop=0.01,migfail=0.05";
   ExpectIdentical(spec);
 }
@@ -134,6 +197,7 @@ TEST(BatchEquivalence, FaultedPoisonAndStalls) {
 TEST(BatchEquivalence, FaultedSequential) {
   RunSpec spec;
   spec.workload = "bwaves";
+  spec.run_ns = 200 * kMillisecond;
   spec.fault_spec = "poison=0.000002@0,poison=0.000002@1";
   ExpectIdentical(spec);
 }
@@ -143,15 +207,14 @@ TEST(BatchEquivalence, FaultedSequential) {
 TEST(BatchEquivalence, ThreeTierSwapPressure) {
   RunSpec spec;
   spec.three_tier = true;
-  spec.target_transactions = 30000;
   ExpectIdentical(spec);
 }
 
 TEST(BatchEquivalence, ThreeTierFaulted) {
   RunSpec spec;
   spec.three_tier = true;
+  spec.run_ns = 200 * kMillisecond;
   spec.fault_spec = "poison=0.000002@1,swapfail=0.01/1ms";
-  spec.target_transactions = 30000;
   ExpectIdentical(spec);
 }
 

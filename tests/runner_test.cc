@@ -186,7 +186,9 @@ std::vector<ExperimentSpec> DeterminismSpecs() {
 
 std::vector<ExperimentResult> RunWithJobs(int jobs) {
   ExperimentRunner runner(QuietOptions(jobs));
-  runner.SubmitAll(DeterminismSpecs());
+  for (ExperimentSpec& spec : DeterminismSpecs()) {
+    runner.Submit(std::move(spec));
+  }
   return runner.RunAll();
 }
 
@@ -227,7 +229,9 @@ TEST(RunnerDeterminismTest, SameResultsWithOneAndEightJobs) {
 TEST(RunnerDeterminismTest, SeedIndependentOfSubmissionOrder) {
   std::vector<ExperimentSpec> specs = DeterminismSpecs();
   ExperimentRunner forward(QuietOptions(2));
-  forward.SubmitAll(specs);
+  for (const ExperimentSpec& spec : specs) {
+    forward.Submit(spec);
+  }
   ExperimentRunner backward(QuietOptions(2));
   for (auto it = specs.rbegin(); it != specs.rend(); ++it) {
     backward.Submit(*it);
