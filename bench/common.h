@@ -194,11 +194,10 @@ inline MachineConfig HostFor(const BenchScale& scale, int num_vms,
   config.tiers = {TierSpec::LocalDram(fmem), smem == SmemKind::kPmem
                                                  ? TierSpec::Pmem(smem_bytes)
                                                  : TierSpec::RemoteDram(smem_bytes)};
-  // Observability only — excluded from the spec content hash, so results
-  // are identical with or without --trace / --check.
+  // Observability only: results are identical with or without --trace /
+  // --check.
   config.capture_trace = !scale.trace.empty();
   config.check_invariants = scale.check_invariants;
-  // Faults change behaviour and fold into the hash when non-empty.
   config.faults = scale.faults;
   return config;
 }

@@ -15,14 +15,6 @@ namespace demeter {
 
 namespace {
 
-// Per-host seed stride: host 0 keeps the cluster seed bit-unchanged (the
-// single-host cluster must be byte-identical to a bare Machine), and the
-// golden-ratio stride separates neighbouring hosts' streams before the
-// SplitMix64 whitening every consumer applies.
-uint64_t HostSeed(uint64_t cluster_seed, int host) {
-  return cluster_seed + 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(host);
-}
-
 uint64_t PagesFor(const VmSetup& setup) {
   return (setup.vm.total_memory_bytes + kPageSize - 1) / kPageSize;
 }
@@ -57,6 +49,10 @@ void ForEachHost(ThreadPool& pool, std::vector<std::unique_ptr<Machine>>& hosts,
 
 }  // namespace
 
+uint64_t HostSeed(uint64_t cluster_seed, int host) {
+  return cluster_seed + 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(host);
+}
+
 Cluster::Cluster(const MachineConfig& config, const ClusterSetup& setup)
     : setup_(setup),
       placer_(setup.placement, setup.placement_headroom),
@@ -76,14 +72,11 @@ Cluster::Cluster(const MachineConfig& config, const ClusterSetup& setup)
   cooldown_until_.assign(hosts_.size(), 0);
   health_.assign(hosts_.size(), HostHealth{});
   // The cluster-scoped injector owns the migratefail and hostfail sites
-  // (keyed by host, not VM); it deliberately seeds from the *cluster* seed,
-  // so the per-host machines' injectors — seeded per host — never share
-  // streams with it.
+  // (keyed by host, not VM) and seeds from the cluster seed, which host 0's
+  // machine injector shares. The two never share a stream: a lane's key
+  // names its site, and machines never draw those two sites.
   if (!config.faults.empty()) {
     faults_ = std::make_unique<FaultInjector>(config.faults, config.seed);
-    for (double p : config.faults.host_fail_p) {
-      ha_active_ = ha_active_ || p > 0.0;
-    }
   }
   migrator_ = std::make_unique<LiveMigrator>(setup_.migration, hosts_, faults_.get());
 
@@ -177,15 +170,11 @@ std::vector<HostLoad> Cluster::Loads(const std::vector<Reservation>& reserved,
     load.carved_pages = mem.CarvedPages(kFmemTier);
     load.resident_vms = machine.NumActiveVms() + assigned_vms[h];
     load.shrinking = machine.hypervisor().TierUnderShrink(kFmemTier);
-    // Health feeds placement only while hostfail is armed: a fleet without
-    // it must make byte-identical decisions to pre-HA builds.
-    if (ha_active_) {
-      const HostHealth& health = health_[h];
-      load.down = health.down;
-      load.quarantined = !health.down && barrier_ < health.quarantine_until_barrier;
-      load.failures = health.failures;
-      load.migration_aborts = health.migration_aborts;
-    }
+    const HostHealth& health = health_[h];
+    load.down = health.down;
+    load.quarantined = !health.down && barrier_ < health.quarantine_until_barrier;
+    load.failures = health.failures;
+    load.migration_aborts = health.migration_aborts;
     // Uncommitted growth plus same-batch reservations drain each tier's
     // own share; FMEM overflow spills to far, like the first-touch
     // allocations they model.
@@ -427,9 +416,9 @@ void Cluster::ProcessRestartQueue(Nanos now, int64_t barrier) {
 void Cluster::ProcessMigrationRetries(Nanos now, int64_t barrier) {
   // Feed: every route migratefail aborted since the last barrier. The
   // source host's health ledger is charged regardless; the retry queue
-  // only when retries are enabled (max_retries defaults to 0, keeping
-  // pre-existing fleets byte-identical). Re-aborted retries re-surface
-  // here and merge into their standing entry, so attempts accumulate.
+  // only when retries are enabled (max_retries defaults to 0). Re-aborted
+  // retries re-surface here and merge into their standing entry, so
+  // attempts accumulate.
   for (const LiveMigrator::Completion& route : migrator_->TakeAbortedRoutes()) {
     ++health_[static_cast<size_t>(route.src_host)].migration_aborts;
     if (setup_.migration.max_retries <= 0) {
@@ -614,9 +603,7 @@ void Cluster::Run() {
     // retries — a restarted VM frees nothing, but the ordering is pinned
     // for determinism), then new evacuations against the post-placement
     // load picture.
-    if (ha_active_) {
-      DetectHostFailures(t, barrier);
-    }
+    DetectHostFailures(t, barrier);
     const std::vector<LiveMigrator::Completion> completions = migrator_->Advance(t);
     for (const LiveMigrator::Completion& c : completions) {
       for (size_t i = 0; i < locations_.size(); ++i) {
@@ -632,21 +619,15 @@ void Cluster::Run() {
       }
     }
     PlaceDue(t);
-    if (ha_active_ && setup_.ha.restart) {
-      ProcessRestartQueue(t, barrier);
-    }
-    if (ha_active_ || setup_.migration.max_retries > 0) {
-      ProcessMigrationRetries(t, barrier);
-    }
+    ProcessRestartQueue(t, barrier);
+    ProcessMigrationRetries(t, barrier);
     if (setup_.migration.evacuate_on_shrink) {
       MaybeEvacuate(t, barrier);
     }
     if (check_invariants_) {
       const InvariantReport report = migrator_->AuditCommitments();
       DEMETER_CHECK(report.ok()) << "commitment conservation: " << report.Join();
-      if (ha_active_) {
-        AuditHaInvariants();
-      }
+      AuditHaInvariants();
     }
   }
 

@@ -6,9 +6,9 @@
 // fleet-level control plane — migration rounds, due deferred boots, and
 // shrink-window evacuations — in a fixed order. Everything the control
 // plane reads is a deterministic function of host state at the barrier, and
-// each host's seed derives from the cluster seed by host index
-// (`seed + golden_ratio * h`), so the whole fleet is byte-reproducible:
-// --jobs=1 and --jobs=8 runs of a cluster spec are identical.
+// each host's seed derives from the cluster seed by host index (HostSeed),
+// so the whole fleet is byte-reproducible: --jobs=1 and --jobs=8 runs of a
+// cluster spec are identical.
 //
 // Concurrency contract: Run() keeps one pool of min(hosts, cores) workers
 // for the whole run and hands it each host's StartRun, StepUntil(barrier)
@@ -48,22 +48,17 @@ namespace demeter {
 // for an attempt ask the placement controller for a surviving host under
 // the *strict* eligibility rules (no fallback — admission control under
 // degraded capacity), backing off on rejection and giving the VM up as
-// lost after `restart_max_attempts`. Defaults are folded into the spec
-// content hash only when changed, so pre-existing cluster specs keep their
-// seeds.
+// lost after `restart_max_attempts`.
 struct HaConfig {
   bool restart = true;            // Re-place killed VMs on surviving hosts.
   int restart_queue_limit = 64;   // Kills beyond this are lost outright.
   int restart_backoff_epochs = 2;  // Barriers between attempts per VM.
   int restart_max_attempts = 8;   // Rejections before the VM is lost.
   int quarantine_epochs = 8;      // Probation barriers after resurrection.
-
-  friend bool operator==(const HaConfig&, const HaConfig&) = default;
 };
 
 // Fleet topology + control-plane tuning. The default (num_hosts == 0) means
-// "no cluster": the runner takes the classic single-Machine path and the
-// spec content hash is bit-identical to builds that predate this subsystem.
+// "no cluster": the runner takes the classic single-Machine path.
 struct ClusterSetup {
   int num_hosts = 0;  // 0 = bare Machine path; >= 1 builds a Cluster.
   Nanos epoch = 10 * kMillisecond;  // Barrier pitch.
@@ -78,10 +73,12 @@ struct ClusterSetup {
   // host runs the machine config's shared plan. This is how a sweep arms
   // staggered tiershrink windows on specific hosts.
   std::vector<FaultPlan> host_faults;
-
-  bool IsDefault() const { return *this == ClusterSetup{}; }
-  friend bool operator==(const ClusterSetup&, const ClusterSetup&) = default;
 };
+
+// Host h's machine seed in a cluster seeded with `cluster_seed`: the seed
+// plus h times SplitMix64's increment. Host 0 runs the cluster seed itself,
+// so a one-host cluster is exactly a bare Machine.
+uint64_t HostSeed(uint64_t cluster_seed, int host);
 
 // Where a spec VM currently lives: host index + VM index on that host.
 // Updated as migrations complete; final values locate the VM's results.
@@ -93,7 +90,7 @@ struct ClusterVmLocation {
 class Cluster {
  public:
   // `config` is the per-host machine template; config.seed is the cluster
-  // seed (host h runs at seed + 0x9e3779b97f4a7c15 * h).
+  // seed (host h runs at HostSeed(config.seed, h)).
   Cluster(const MachineConfig& config, const ClusterSetup& setup);
 
   // Registers a VM with the fleet; returns its cluster-wide index.
@@ -148,8 +145,7 @@ class Cluster {
   };
 
   // Failure detector's per-host ledger. `down`/`quarantine_until_barrier`
-  // gate placement; `failures`/`migration_aborts` feed Score via Loads()
-  // (only while hostfail is armed, so fleets without it are unperturbed).
+  // gate placement; `failures`/`migration_aborts` feed Score via Loads().
   struct HostHealth {
     bool down = false;
     Nanos down_until = 0;                  // Virtual time the host resurrects.
@@ -239,10 +235,6 @@ class Cluster {
   uint64_t restart_latency_ns_total_ = 0;
   uint64_t migration_retries_ = 0;
   uint64_t migration_retries_exhausted_ = 0;
-  // True when the cluster plan arms hostfail anywhere. Health state feeds
-  // placement only then: fleets without hostfail (including every pinned
-  // pre-existing baseline) see byte-identical control-plane decisions.
-  bool ha_active_ = false;
   bool check_invariants_ = false;  // Mirrors config.check_invariants.
   bool ran_ = false;
 };

@@ -44,12 +44,9 @@ struct MigrationConfig {
   int cooldown_epochs = 4;          // Barriers between evacuations per source.
   // Aborted migrations (migratefail or a fenced destination) re-enter a
   // bounded per-route retry with destination re-selection instead of being
-  // dropped. 0 (the default) disables retries entirely, so pre-existing
-  // fleet behaviour is untouched.
+  // dropped. 0 (the default) disables retries.
   int max_retries = 0;
   int retry_backoff_epochs = 2;     // Barriers a route waits between attempts.
-
-  friend bool operator==(const MigrationConfig&, const MigrationConfig&) = default;
 };
 
 class LiveMigrator {

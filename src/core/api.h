@@ -20,8 +20,8 @@
 // See examples/quickstart.cc for the full flow. For multi-configuration
 // sweeps (many workloads/policies/VM counts), the preferred entry point is
 // the src/runner experiment orchestrator: build ExperimentSpecs and submit
-// them to an ExperimentRunner (src/runner/runner.h), which runs them on a
-// worker pool with content-hash-derived seeds and spec-ordered results.
+// them to an ExperimentRunner (src/runner/runner.h), which runs each at its
+// base seed on a worker pool and returns spec-ordered results.
 
 #ifndef DEMETER_SRC_CORE_API_H_
 #define DEMETER_SRC_CORE_API_H_

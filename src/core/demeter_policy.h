@@ -46,12 +46,6 @@ struct DegradationConfig {
   // drift rate set it to the guest's own epoch length.
   Nanos host_round_period = 0;       // 0 -> 3 * watchdog_period at attach.
   uint64_t host_batch_pages = 128;   // Promotions per host round.
-
-  bool IsDefault() const {
-    return enabled && unresponsive_after == 0 && watchdog_period == 0 &&
-           host_round_period == 0 && host_batch_pages == 128;
-  }
-  friend bool operator==(const DegradationConfig&, const DegradationConfig&) = default;
 };
 
 struct DemeterConfig {

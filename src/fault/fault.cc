@@ -459,24 +459,14 @@ FaultInjector::VmState& FaultInjector::state(int vm) {
   while (vms_.size() <= static_cast<size_t>(vm)) {
     const uint64_t id = static_cast<uint64_t>(vms_.size());
     auto vm_state = std::make_unique<VmState>();
-    // One independent stream per (vm, site): the golden-ratio stride
-    // separates neighbouring streams before SplitMix64 whitening inside
-    // Rng::Seed. The legacy stride is pinned at 11 (the site count when
-    // these streams were first baselined) so adding sites never reshuffles
-    // existing streams; sites beyond the legacy range seed from the
-    // disjoint negative domain (~x == -x - 1, so the two never collide),
-    // with the post-legacy site index in the high half of the lane so the
-    // formula — unlike the original `kNumFaultSites - kLegacyStride`
-    // multiplier — is independent of the site count forever. For the first
-    // post-legacy site (s == 11) the lane is ~id either way, which keeps
-    // every stream baselined under the old formula byte-identical.
-    constexpr uint64_t kLegacyStride = 11;
+    // One independent stream per (vm, site). The key is mixed through
+    // SplitMix64 before it meets the seed, so no lane sits a fixed stride
+    // from another lane or from a neighbouring host's seed (cluster hosts
+    // differ by SplitMix64's own increment, see HostSeed), and adding
+    // sites never moves an existing lane.
     for (int s = 0; s < kNumFaultSites; ++s) {
-      const uint64_t lane =
-          s < static_cast<int>(kLegacyStride)
-              ? id * kLegacyStride + static_cast<uint64_t>(s) + 1
-              : ~(id + ((static_cast<uint64_t>(s) - kLegacyStride) << 32));
-      vm_state->rngs[static_cast<size_t>(s)].Seed(seed_ + 0x9e3779b97f4a7c15ULL * lane);
+      uint64_t key = (id << 8) | static_cast<uint64_t>(s);
+      vm_state->rngs[static_cast<size_t>(s)].Seed(seed_ ^ SplitMix64(key));
     }
     vms_.push_back(std::move(vm_state));
   }

@@ -4,11 +4,12 @@
 // request delay/drop, guest stall and crash windows, virtqueue-full
 // backpressure, PEBS sample loss, migration failure, and transient tier
 // exhaustion — parsed from the `--faults=SPEC` bench flag. The plan is pure
-// data: it participates in the runner's spec content hash (when non-empty),
-// so faulted and fault-free runs never collide on a seed.
+// data; a faulted run and its fault-free twin run at the same base seed, so
+// the difference between them is the faults alone.
 //
 // A FaultInjector turns the plan into deterministic decisions. Probability
-// sites draw from a dedicated Rng stream per (site, vm) — streams never
+// sites draw from a dedicated Rng stream per (site, vm), seeded from the
+// machine seed and a SplitMix64-mixed (vm, site) key — streams never
 // interleave, so adding a fault kind to the plan perturbs only its own
 // site — and time-window sites (stall/crash) are pure functions of virtual
 // time with no randomness at all. Sites with zero probability never draw,
@@ -136,8 +137,7 @@ struct FaultPlan {
 
   // Canonical spec string: fixed token order, no default-valued tokens,
   // durations in plain nanoseconds. Parse(ToSpec()) reproduces the plan
-  // exactly, and equal plans always canonicalize identically — the form
-  // folded into the spec content hash.
+  // exactly, and equal plans always canonicalize identically.
   std::string ToSpec() const;
 
   // Parses a spec string. Returns nullopt (and sets *error when given) on

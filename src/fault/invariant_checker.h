@@ -44,8 +44,7 @@
 //
 // The audit is strictly read-only (const page-table walks; never the
 // A/D-clearing scan) and runs between events, so it cannot perturb the
-// simulation — which is why the harness excludes it from the spec content
-// hash, like capture_trace.
+// simulation, like capture_trace.
 
 #ifndef DEMETER_SRC_FAULT_INVARIANT_CHECKER_H_
 #define DEMETER_SRC_FAULT_INVARIANT_CHECKER_H_

@@ -62,16 +62,14 @@ struct MachineConfig {
   uint64_t seed = 42;
   // Record trace events (TLB flushes, PMI drains, migration batches,
   // balloon completions, QoS rounds). Pure observability: MUST NOT affect
-  // simulation results, and is therefore excluded from the runner's
-  // spec content hash.
+  // simulation results.
   bool capture_trace = false;
   // Fault schedule (parsed from --faults). Empty = no injector is created
-  // and every fault hook stays inert; non-empty plans fold into the
-  // runner's spec content hash.
+  // and every fault hook stays inert.
   FaultPlan faults;
   // Audit cross-layer invariants after provisioning and after every main-
   // loop event drain, aborting on violation. Read-only observability like
-  // capture_trace: excluded from the spec content hash.
+  // capture_trace.
   bool check_invariants = false;
   // Far swap tier device model; consulted only when `tiers` has more than
   // kSwapTier entries (three-tier hosts). Two-tier machines never create
@@ -79,8 +77,7 @@ struct MachineConfig {
   // machine seed.
   SwapDeviceConfig swap;
   // FMEM overcommit arbitration (double-balloon spill scheduler). Off by
-  // default; benches that oversubscribe FMEM turn it on. Enabled configs
-  // fold into the runner's spec content hash.
+  // default; benches that oversubscribe FMEM turn it on.
   OvercommitConfig overcommit;
 };
 

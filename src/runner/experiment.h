@@ -5,12 +5,13 @@
 // are pure data — the runner turns each one into a Machine, runs it to
 // completion, and collects the per-VM results.
 //
-// Seed-derivation rule: every job's RNG seed is derived from the spec's
-// *content* (SpecContentHash folds every field that influences the
-// simulation, including the user-chosen base seed), never from submission
-// order, worker identity, or completion order. Two identical specs always
-// produce bit-identical results; any field change reseeds the run. This is
-// what makes `--jobs=1` and `--jobs=8` byte-identical.
+// Seed rule: every experiment runs at its spec's base seed
+// (`config.seed`), exactly as a Machine or Cluster built by hand from the
+// same config would. The seed never depends on submission order, worker
+// identity or completion order, so two identical specs always produce
+// bit-identical results, and `--jobs=1` and `--jobs=8` are byte-identical.
+// Specs that differ only in policy or configuration share their seed, so
+// a comparison between them is not confounded by a different random draw.
 
 #ifndef DEMETER_SRC_RUNNER_EXPERIMENT_H_
 #define DEMETER_SRC_RUNNER_EXPERIMENT_H_
@@ -30,21 +31,15 @@ struct ExperimentSpec {
   std::vector<VmSetup> vms;
   // Fleet topology. Default (num_hosts == 0) runs the classic single
   // Machine; >= 1 builds a Cluster with `config` as the per-host template.
-  // Hashed only when non-default, so pre-existing specs keep their seeds.
   ClusterSetup cluster;
 };
 
-// Content hash of every simulation-relevant field (see the rule above).
-uint64_t SpecContentHash(const ExperimentSpec& spec);
-
-// The seed the runner hands to the Machine for this spec; currently the
-// content hash itself, exposed separately so callers never bake in that
-// equivalence.
-uint64_t DeriveSeed(const ExperimentSpec& spec);
+// The seed the runner hands to the Machine (or Cluster) for this spec: its
+// base seed, per the rule above.
+inline uint64_t DeriveSeed(const ExperimentSpec& spec) { return spec.config.seed; }
 
 struct ExperimentResult {
   ExperimentSpec spec;
-  uint64_t seed = 0;              // Derived seed the Machine actually used.
   std::vector<VmRunResult> vms;   // One entry per spec.vms element.
   // Host-side registry snapshot ("host/" prefix stripped).
   MetricSnapshot host_metrics;
@@ -53,16 +48,15 @@ struct ExperimentResult {
   // stay deterministic regardless of --jobs.
   std::vector<TraceEvent> trace;
   bool ok = false;
-  int attempts = 0;               // 1 = first try succeeded.
   std::string error;              // Set when !ok.
 
   double MeanElapsedSeconds() const;
   double TotalMgmtCores() const;
 };
 
-// Runs one spec synchronously on the calling thread: builds the Machine with
-// the derived seed, boots the VMs, runs to the transaction targets, and
-// copies out the per-VM results. Throws (or aborts on simulation-invariant
+// Runs one spec synchronously on the calling thread: builds the Machine (or
+// Cluster) from `spec.config`, boots the VMs, runs to the transaction
+// targets, and copies out the per-VM results. Throws (or aborts on simulation-invariant
 // violation) rather than returning a partial result.
 ExperimentResult RunExperiment(const ExperimentSpec& spec);
 

@@ -23,10 +23,8 @@ std::string JsonLinesSink::ToJsonLines(const ExperimentResult& result) {
     out += ',';
     AppendJsonStr(out, "tag", result.spec.tag);
     out += ',';
-    AppendJsonU64(out, "seed", result.seed);
+    AppendJsonU64(out, "seed", DeriveSeed(result.spec));
     out += ",\"ok\":false,";
-    AppendJsonU64(out, "attempts", static_cast<uint64_t>(result.attempts));
-    out += ',';
     AppendJsonStr(out, "error", result.error);
     out += "}\n";
     return out;
@@ -38,10 +36,8 @@ std::string JsonLinesSink::ToJsonLines(const ExperimentResult& result) {
     out += ',';
     AppendJsonStr(out, "tag", result.spec.tag);
     out += ',';
-    AppendJsonU64(out, "seed", result.seed);
+    AppendJsonU64(out, "seed", DeriveSeed(result.spec));
     out += ",\"ok\":true,";
-    AppendJsonU64(out, "attempts", static_cast<uint64_t>(result.attempts));
-    out += ',';
     AppendJsonU64(out, "vm", v);
     out += ',';
     AppendJsonStr(out, "workload", vm.workload);

@@ -12,9 +12,6 @@
 namespace demeter {
 
 ExperimentRunner::ExperimentRunner(RunnerOptions options) : options_(std::move(options)) {
-  if (options_.max_attempts < 1) {
-    options_.max_attempts = 1;
-  }
   if (!options_.run_fn) {
     options_.run_fn = RunExperiment;
   }
@@ -26,27 +23,15 @@ size_t ExperimentRunner::Submit(ExperimentSpec spec) {
   return specs_.size() - 1;
 }
 
-ExperimentResult ExperimentRunner::RunWithRetry(const ExperimentSpec& spec) {
-  ExperimentResult result;
-  for (int attempt = 1; attempt <= options_.max_attempts; ++attempt) {
-    try {
-      result = options_.run_fn(spec);
-    } catch (const std::exception& e) {
-      result = ExperimentResult{};
-      result.spec = spec;
-      result.seed = DeriveSeed(spec);
-      result.ok = false;
-      result.error = e.what();
-    }
-    result.attempts = attempt;
-    if (result.ok) {
-      break;
-    }
-    if (result.error.empty()) {
-      result.error = "run function reported failure";
-    }
+ExperimentResult ExperimentRunner::RunIsolated(const ExperimentSpec& spec) {
+  try {
+    return options_.run_fn(spec);
+  } catch (const std::exception& e) {
+    ExperimentResult result;
+    result.spec = spec;
+    result.error = e.what();
+    return result;
   }
-  return result;
 }
 
 std::vector<ExperimentResult> ExperimentRunner::RunAll() {
@@ -64,18 +49,17 @@ std::vector<ExperimentResult> ExperimentRunner::RunAll() {
     futures.push_back(pool.Submit([this, i, &results, &done, &progress_mu] {
       // Each job owns exactly its submission-indexed slot; completion order
       // never reorders results.
-      results[i] = RunWithRetry(specs_[i]);
+      results[i] = RunIsolated(specs_[i]);
       const size_t finished = done.fetch_add(1) + 1;
       if (options_.progress && options_.progress_stream != nullptr) {
         std::lock_guard<std::mutex> lock(progress_mu);
-        std::fprintf(options_.progress_stream, "[runner %zu/%zu] %s %s (attempt %d)\n", finished,
-                     specs_.size(), specs_[i].name.c_str(), results[i].ok ? "ok" : "FAILED",
-                     results[i].attempts);
+        std::fprintf(options_.progress_stream, "[runner %zu/%zu] %s %s\n", finished,
+                     specs_.size(), specs_[i].name.c_str(), results[i].ok ? "ok" : "FAILED");
         std::fflush(options_.progress_stream);
       }
     }));
   }
-  // RunWithRetry never lets a job exception escape, so these futures only
+  // RunIsolated never lets a job exception escape, so these futures only
   // signal completion; get() also surfaces any unexpected infrastructure
   // error instead of swallowing it.
   for (std::future<void>& future : futures) {

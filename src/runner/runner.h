@@ -3,17 +3,18 @@
 // ExperimentRunner fans submitted ExperimentSpecs out across a fixed-size
 // ThreadPool and returns results **in submission (spec) order**, no matter
 // which worker finished first. Determinism guarantees:
-//   - each job's seed is derived from its spec's content (experiment.h), so
-//     worker count and scheduling cannot influence any simulation;
+//   - each job runs at its spec's base seed (experiment.h), so worker count
+//     and scheduling cannot influence any simulation;
 //   - results are collected into submission-indexed slots;
 //   - progress reporting goes to stderr only, keeping stdout byte-identical
 //     across --jobs values.
 //
-// Failure policy: a job that throws std::exception (or returns !ok from a
-// custom run function) is retried until RunnerOptions::max_attempts is
-// exhausted; the final failure is reported in ExperimentResult::{ok,error}
-// rather than aborting the whole sweep. DEMETER_CHECK violations still
-// abort — simulation-invariant breakage must never be retried into silence.
+// Failure policy: each spec runs once. A job that throws std::exception is
+// reported as ExperimentResult::{ok=false, error} and its neighbours run on,
+// rather than the whole sweep aborting. There is no retry: a run is a
+// deterministic function of its spec, so a second attempt would only repeat
+// the failure. DEMETER_CHECK violations still abort — simulation-invariant
+// breakage must never be turned into a reported result.
 
 #ifndef DEMETER_SRC_RUNNER_RUNNER_H_
 #define DEMETER_SRC_RUNNER_RUNNER_H_
@@ -30,8 +31,6 @@ namespace demeter {
 struct RunnerOptions {
   // Worker threads; <= 0 selects std::thread::hardware_concurrency().
   int jobs = 0;
-  // Total tries per spec (first attempt + retries). Minimum 1.
-  int max_attempts = 2;
   // One line per finished job on progress_stream (never stdout).
   bool progress = true;
   std::FILE* progress_stream = stderr;
@@ -54,7 +53,7 @@ class ExperimentRunner {
   size_t num_specs() const { return specs_.size(); }
 
  private:
-  ExperimentResult RunWithRetry(const ExperimentSpec& spec);
+  ExperimentResult RunIsolated(const ExperimentSpec& spec);
 
   RunnerOptions options_;
   std::vector<ExperimentSpec> specs_;

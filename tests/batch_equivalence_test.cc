@@ -9,7 +9,9 @@
 // counters, fault injections, swap traffic, PEBS/PMI counts, policy
 // migrations — and every GPT and EPT leaf with its Accessed and Dirty bits
 // must be byte-identical, for every workload generator, fault-free and
-// faulted, two- and three-tier.
+// faulted, two- and three-tier. Two more configurations target the memo's
+// resets one by one: a PMI handler that moves the page a run is on, and a
+// poison recovery in the middle of a run.
 
 #include <gtest/gtest.h>
 
@@ -18,11 +20,14 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/base/rng.h"
+#include "src/core/policy.h"
 #include "src/fault/fault.h"
 #include "src/harness/machine.h"
+#include "src/pebs/pebs.h"
 
 namespace demeter {
 namespace {
@@ -35,6 +40,47 @@ struct RunSpec {
   std::string fault_spec;
   bool three_tier = false;
   Nanos run_ns = 40 * kMillisecond;  // Virtual time each vCPU runs.
+  // Install PageMovingPmiPolicy (below) instead of `policy`.
+  bool page_moving_pmi = false;
+  // Overrides the workload's cache-hit rate when >= 0.
+  double cache_hit_rate = -1.0;
+  // Access each generated op's page as write, read, write: the middle read
+  // lands inside a run that a write opened, and the last write continues it.
+  bool write_read_write = false;
+};
+
+// A policy whose PMI handler moves every sampled page to the other node,
+// sampling every third load with a zero latency threshold, so cache hits
+// are sampled too and a one-record buffer raises a PMI on each sample. A
+// PMI on a cache hit thus moves the page a run is coalescing on.
+class PageMovingPmiPolicy : public TmmPolicy {
+ public:
+  const char* name() const override { return "page-moving-pmi"; }
+
+  void Attach(Vm& vm, GuestProcess& process, Nanos /*start*/) override {
+    for (int i = 0; i < vm.num_vcpus(); ++i) {
+      PebsConfig pebs = vm.config().pebs;
+      pebs.sample_period = 3;
+      pebs.latency_threshold_ns = 0.0;
+      pebs.buffer_capacity = 1;
+      vm.vcpu(i).pebs = std::make_unique<PebsUnit>(pebs);
+      vm.vcpu(i).pebs->set_enabled(true);
+      vm.vcpu(i).pebs->set_pmi_handler(
+          [&vm, &process, alive = alive_](std::vector<PebsRecord>&& records, Nanos now) {
+            if (!*alive) {
+              return;
+            }
+            for (const PebsRecord& record : records) {
+              const PageNum vpn = PageOf(record.gva);
+              const int node = vm.NodeOfVpn(process, vpn);
+              double cost_ns = 0.0;
+              if (node >= 0) {
+                vm.MovePage(process, vpn, node == 0 ? 1 : 0, now, &cost_ns);
+              }
+            }
+          });
+    }
+  }
 };
 
 // Builds the host and VM and runs StartRun: provisioning, workload setup,
@@ -67,7 +113,13 @@ std::unique_ptr<Machine> StartMachine(const RunSpec& spec) {
   setup.demeter.range.split_threshold = 4.0;
   setup.demeter.sample_period = 97;
   machine->AddVm(setup);
+  if (spec.page_moving_pmi) {
+    machine->SetCustomPolicy(0, std::make_unique<PageMovingPmiPolicy>());
+  }
   machine->StartRun();
+  if (spec.cache_hit_rate >= 0.0) {
+    machine->vm(0).set_cache_hit_rate(spec.cache_hit_rate);
+  }
   return machine;
 }
 
@@ -100,9 +152,11 @@ std::vector<Leaf> Leaves(const PageTable& table) {
 }
 
 void ExpectIdentical(const RunSpec& spec) {
-  SCOPED_TRACE(spec.workload + " " + PolicyKindName(spec.policy) +
+  SCOPED_TRACE(spec.workload + " " +
+               (spec.page_moving_pmi ? "page-moving-pmi" : PolicyKindName(spec.policy)) +
                (spec.fault_spec.empty() ? "" : " faults=" + spec.fault_spec) +
-               (spec.three_tier ? " three-tier" : ""));
+               (spec.three_tier ? " three-tier" : "") +
+               (spec.write_read_write ? " write-read-write" : ""));
   std::unique_ptr<Machine> batched = StartMachine(spec);
   std::unique_ptr<Machine> stepped = StartMachine(spec);
   Vm& batched_vm = batched->vm(0);
@@ -120,6 +174,15 @@ void ExpectIdentical(const RunSpec& spec) {
     for (int v = 0; v < batched_vm.num_vcpus(); ++v) {
       batch.clear();
       batched->workload(0)->NextBatch(v, kBatchOps, rng, &batch);
+      if (spec.write_read_write) {
+        std::vector<AccessOp> triples;
+        for (const AccessOp& op : batch) {
+          triples.push_back(AccessOp{op.gva, /*is_write=*/true});
+          triples.push_back(AccessOp{op.gva, /*is_write=*/false});
+          triples.push_back(AccessOp{op.gva, /*is_write=*/true});
+        }
+        batch = std::move(triples);
+      }
       steps.resize(batch.size());
       ASSERT_EQ(batched_vm.ExecuteBatch(v, batched_proc, batch,
                                         std::numeric_limits<double>::infinity(), steps.data()),
@@ -207,6 +270,32 @@ TEST(BatchEquivalence, FaultedSequential) {
 TEST(BatchEquivalence, ThreeTierSwapPressure) {
   RunSpec spec;
   spec.three_tier = true;
+  ExpectIdentical(spec);
+}
+
+// The memo reset after a PMI on a cache hit: a write opens a run on a page,
+// a cache-hit read of it is sampled and its PMI moves the page, and the
+// next write must re-translate instead of continuing the run on the old
+// frame.
+TEST(BatchEquivalence, PmiOnCacheHitMovesTheRunPage) {
+  RunSpec spec;
+  spec.page_moving_pmi = true;
+  spec.cache_hit_rate = 0.5;
+  spec.write_read_write = true;
+  ExpectIdentical(spec);
+}
+
+// The memo reset after a poison recovery inside a run: write, poisoned
+// read, write on one page. Recovery gives the page a fresh leaf with D
+// clear, so the second write must set D again through the dirty
+// micro-walk. One round only: about a third of the accesses are poisoned,
+// and each recovery retires a frame.
+TEST(BatchEquivalence, PoisonRecoveryInsideARun) {
+  RunSpec spec;
+  spec.cache_hit_rate = 0.0;
+  spec.write_read_write = true;
+  spec.run_ns = 1;
+  spec.fault_spec = "poison=0.3@0,poison=0.3@1";
   ExpectIdentical(spec);
 }
 

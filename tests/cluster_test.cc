@@ -1,6 +1,6 @@
 // src/cluster: placement scoring, telemetry namespacing, the single-host
-// byte-identity regression, trace pid encoding, spec-hash gating for
-// cluster topology, the three live-migration resolution paths (complete /
+// byte-identity regression, trace pid encoding, per-host stream
+// independence, the three live-migration resolution paths (complete /
 // abort / cancel) with page-conservation audits on both ends, and
 // run-to-run identity while hosts step concurrently. Run under
 // -fsanitize=thread in CI.
@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/placement.h"
 #include "src/fault/fault.h"
@@ -760,7 +763,66 @@ TEST(ClusterTest, BlockedEvacuationReattemptsAfterCooldown) {
   ExpectNoResidualCommitments(cluster);
 }
 
-// ----------------------------------------------------- Spec hash gating
+// ------------------------------------------------------- Seed independence
+
+// Every random stream of a 4-host fleet is its own: each host's workload
+// Rng, each (host, vm, site) lane of the per-host injectors and each
+// (host, site) lane of the cluster-scoped injector. Hosts' seeds differ by
+// SplitMix64's increment; a fault lane that strides by the same constant
+// would replay a neighbour host's stream one lane over.
+TEST(ClusterSeedTest, FourHostStreamsArePairwiseDistinct) {
+  constexpr int kHosts = 4;
+  constexpr int kVms = 3;
+  constexpr int kDraws = 64;
+  // Every probability site a machine draws; window sites draw nothing.
+  const FaultSite kVmSites[] = {
+      FaultSite::kBalloonDelay,  FaultSite::kBalloonDrop,    FaultSite::kPebsSampleLoss,
+      FaultSite::kMigrationFail, FaultSite::kTierExhaustion, FaultSite::kPoisonFmem,
+      FaultSite::kPoisonSmem,    FaultSite::kSwapFail,
+  };
+  std::string spec =
+      "bdelay=0.5/1ms,bdrop=0.5,pebsdrop=0.5,migfail=0.5,tierex=0.5,poison=0.5@0,"
+      "poison=0.5@1,swapfail=0.5/1ms";
+  for (int h = 0; h < kHosts; ++h) {
+    spec += ",migratefail=0.5/1ms@" + std::to_string(h) + ",hostfail=0.5/1ms@" +
+            std::to_string(h);
+  }
+  const FaultPlan plan = MustParse(spec);
+  const uint64_t seed = FleetHost().seed;
+
+  std::vector<std::pair<std::string, std::string>> streams;  // (name, decisions)
+  auto draw = [&](const std::string& name, const auto& decide) {
+    std::string bits;
+    for (int i = 0; i < kDraws; ++i) {
+      bits += decide() ? '1' : '0';
+    }
+    streams.emplace_back(name, bits);
+  };
+  FaultInjector cluster_faults(plan, seed);
+  for (int h = 0; h < kHosts; ++h) {
+    const std::string host = "host" + std::to_string(h);
+    Rng workload(HostSeed(seed, h));
+    draw(host + " workload", [&] { return workload.NextBool(0.5); });
+    FaultInjector faults(plan, HostSeed(seed, h));
+    for (int vm = 0; vm < kVms; ++vm) {
+      for (FaultSite site : kVmSites) {
+        draw(host + " vm" + std::to_string(vm) + " " + FaultSiteName(site),
+             [&] { return faults.ShouldInject(site, vm); });
+      }
+    }
+    draw(host + " migratefail", [&] { return cluster_faults.ShouldFailMigration(h); });
+    draw(host + " hostfail", [&] { return cluster_faults.ShouldFailHost(h); });
+  }
+  ASSERT_EQ(streams.size(), kHosts * (1 + kVms * std::size(kVmSites) + 2));
+  for (size_t a = 0; a < streams.size(); ++a) {
+    for (size_t b = a + 1; b < streams.size(); ++b) {
+      EXPECT_NE(streams[a].second, streams[b].second)
+          << streams[a].first << " replays " << streams[b].first;
+    }
+  }
+}
+
+// ------------------------------------------------- RunExperiment plumbing
 
 ExperimentSpec ClusterSpec(int num_hosts) {
   ExperimentSpec spec;
@@ -771,76 +833,6 @@ ExperimentSpec ClusterSpec(int num_hosts) {
   spec.cluster.num_hosts = num_hosts;
   return spec;
 }
-
-TEST(ClusterSpecHashTest, DefaultTopologyKeepsPreExistingSeeds) {
-  // A default ClusterSetup must hash exactly like a spec that predates the
-  // cluster subsystem, so every pre-existing experiment keeps its seed (the
-  // bench baselines pin the actual values across builds; this pins the
-  // gating mechanism).
-  const ExperimentSpec base = ClusterSpec(0);
-  ExperimentSpec with_default = base;
-  with_default.cluster = ClusterSetup{};
-  EXPECT_TRUE(base.cluster.IsDefault());
-  EXPECT_EQ(SpecContentHash(base), SpecContentHash(with_default));
-
-  // Any topology field flipping the setup off default reseeds — even with
-  // num_hosts still 0, because a non-default setup is new behaviour space.
-  ExperimentSpec fleet = base;
-  fleet.cluster.num_hosts = 1;
-  EXPECT_NE(SpecContentHash(base), SpecContentHash(fleet));
-  ExperimentSpec tuned = base;
-  tuned.cluster.migration.wire_ns_per_page += 1.0;
-  EXPECT_NE(SpecContentHash(base), SpecContentHash(tuned));
-  ExperimentSpec hosted = base;
-  hosted.cluster.host_faults.push_back(FaultPlan{});
-  EXPECT_NE(SpecContentHash(base), SpecContentHash(hosted));
-
-  // Restoring the default restores the original seed bit-for-bit.
-  fleet.cluster = ClusterSetup{};
-  EXPECT_EQ(SpecContentHash(base), SpecContentHash(fleet));
-}
-
-TEST(ClusterSpecHashTest, DistinctTopologiesReseedDistinctly) {
-  const uint64_t one = SpecContentHash(ClusterSpec(1));
-  const uint64_t two = SpecContentHash(ClusterSpec(2));
-  EXPECT_NE(one, two);
-  ExperimentSpec spread = ClusterSpec(2);
-  spread.cluster.placement = PlacementPolicy::kSpread;
-  EXPECT_NE(SpecContentHash(spread), two);
-}
-
-TEST(ClusterSpecHashTest, RetryAndHaKnobsGateTheHash) {
-  // Default retry/HA knobs must contribute nothing to the hash (so every
-  // pre-HA experiment keeps its seed), while any non-default value reseeds.
-  const ExperimentSpec base = ClusterSpec(2);
-  ExperimentSpec explicit_defaults = base;
-  explicit_defaults.cluster.migration.max_retries = MigrationConfig{}.max_retries;
-  explicit_defaults.cluster.ha = HaConfig{};
-  EXPECT_EQ(SpecContentHash(base), SpecContentHash(explicit_defaults));
-
-  ExperimentSpec retried = base;
-  retried.cluster.migration.max_retries = 3;
-  EXPECT_NE(SpecContentHash(base), SpecContentHash(retried));
-  ExperimentSpec backoff = base;
-  backoff.cluster.migration.retry_backoff_epochs += 1;
-  EXPECT_NE(SpecContentHash(base), SpecContentHash(backoff));
-
-  ExperimentSpec norec = base;
-  norec.cluster.ha.restart = false;
-  EXPECT_NE(SpecContentHash(base), SpecContentHash(norec));
-  ExperimentSpec quarantine = base;
-  quarantine.cluster.ha.quarantine_epochs += 4;
-  EXPECT_NE(SpecContentHash(base), SpecContentHash(quarantine));
-  EXPECT_NE(SpecContentHash(norec), SpecContentHash(quarantine));
-
-  // Restoring defaults restores the original seed bit-for-bit.
-  retried.cluster.migration.max_retries = 0;
-  norec.cluster.ha = HaConfig{};
-  EXPECT_EQ(SpecContentHash(base), SpecContentHash(retried));
-  EXPECT_EQ(SpecContentHash(base), SpecContentHash(norec));
-}
-
-// ------------------------------------------------- RunExperiment plumbing
 
 TEST(ClusterExperimentTest, RunnerTakesClusterPath) {
   ExperimentSpec spec = ClusterSpec(2);

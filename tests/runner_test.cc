@@ -1,7 +1,7 @@
-// Runner subsystem tests: content-hash seed derivation, result ordering,
-// retry policy, and the headline guarantee — the same ExperimentSpec set run
-// with --jobs=1 and --jobs=8 yields identical VmRunResults. Run under
-// -fsanitize=thread in CI.
+// Runner subsystem tests: the seed rule (RunExperiment equals the same spec
+// driven by hand), result ordering, failure isolation, and the headline
+// guarantee — the same ExperimentSpec set run with --jobs=1 and --jobs=8
+// yields identical VmRunResults. Run under -fsanitize=thread in CI.
 
 #include <gtest/gtest.h>
 
@@ -14,13 +14,14 @@
 #include <thread>
 #include <vector>
 
+#include "src/cluster/cluster.h"
 #include "src/runner/result_sink.h"
 #include "src/runner/runner.h"
 
 namespace demeter {
 namespace {
 
-// ---------------------------------------------------- Spec hashing and seeds
+// ------------------------------------------------------------------ Specs
 
 ExperimentSpec SmallSpec(const std::string& name, const std::string& workload,
                          PolicyKind policy, uint64_t transactions = 100000) {
@@ -43,59 +44,99 @@ ExperimentSpec SmallSpec(const std::string& name, const std::string& workload,
   return spec;
 }
 
-TEST(ExperimentSpecTest, ContentHashIsContentOnly) {
-  const ExperimentSpec a = SmallSpec("x", "gups", PolicyKind::kDemeter);
-  const ExperimentSpec b = SmallSpec("x", "gups", PolicyKind::kDemeter);
-  EXPECT_EQ(SpecContentHash(a), SpecContentHash(b));
-  EXPECT_EQ(DeriveSeed(a), DeriveSeed(b));
+// --------------------------------------------------------------- Seed rule
+
+// Every field of a VmRunResult, doubles as exact hex floats, so two results
+// compare equal as strings exactly when they are equal field by field.
+std::string Describe(const VmRunResult& r) {
+  std::string out;
+  char buf[64];
+  auto num = [&](const char* key, uint64_t v) {
+    out += std::string(key) + "=" + std::to_string(v) + " ";
+  };
+  auto real = [&](const char* key, double v) {
+    std::snprintf(buf, sizeof(buf), "%a", v);
+    out += std::string(key) + "=" + buf + " ";
+  };
+  out += r.workload + " " + r.policy + " ";
+  num("transactions", r.transactions);
+  real("elapsed_s", r.elapsed_s);
+  num("tlb.hits", r.tlb.hits);
+  num("tlb.misses", r.tlb.misses);
+  num("tlb.single_flushes", r.tlb.single_flushes);
+  num("tlb.full_flushes", r.tlb.full_flushes);
+  const VmStats& s = r.vm_stats;
+  for (uint64_t v : {s.accesses, s.writes, s.cache_hits, s.guest_faults, s.ept_faults,
+                     s.fmem_accesses, s.smem_accesses, s.swap_accesses, s.swap_ins,
+                     s.pages_promoted, s.pages_demoted, s.context_switches}) {
+    num("stat", v);
+  }
+  real("total_access_ns", s.total_access_ns);
+  for (int i = 0; i < kNumTmmStages; ++i) {
+    const TmmStage stage = static_cast<TmmStage>(i);
+    num(TmmStageName(stage), r.mgmt.ForStage(stage));
+  }
+  num("latency.count", r.txn_latency_ns.count());
+  num("latency.sum", r.txn_latency_ns.sum());
+  num("latency.min", r.txn_latency_ns.min());
+  num("latency.max", r.txn_latency_ns.max());
+  for (double p : {10.0, 50.0, 90.0, 99.0, 99.9}) {
+    num("latency.p", r.txn_latency_ns.Percentile(p));
+  }
+  for (uint64_t bucket : r.timeline) {
+    num("timeline", bucket);
+  }
+  num("timeline_bucket", r.timeline_bucket);
+  real("fmem_access_fraction", r.fmem_access_fraction);
+  return out + r.metrics.ToJson();
 }
 
-TEST(ExperimentSpecTest, EmptyFaultPlanLeavesHashUnchanged) {
-  // An empty plan must hash exactly like a spec that predates the fault
-  // subsystem, so every pre-existing experiment keeps its seed (and thus
-  // its bit-identical results).
-  const ExperimentSpec base = SmallSpec("x", "gups", PolicyKind::kDemeter);
-  ExperimentSpec with_empty = base;
-  with_empty.config.faults = FaultPlan{};
-  EXPECT_EQ(SpecContentHash(base), SpecContentHash(with_empty));
+void ExpectSameRun(const ExperimentResult& run, const std::vector<const VmRunResult*>& by_hand,
+                   const MetricSnapshot& hand_metrics) {
+  ASSERT_TRUE(run.ok) << run.error;
+  ASSERT_EQ(run.vms.size(), by_hand.size());
+  for (size_t v = 0; v < by_hand.size(); ++v) {
+    EXPECT_EQ(Describe(run.vms[v]), Describe(*by_hand[v])) << "vm " << v;
+  }
+  EXPECT_EQ(run.host_metrics.ToJson(), hand_metrics.ToJson());
 }
 
-TEST(ExperimentSpecTest, FaultPlanAndDegradationReseed) {
-  const ExperimentSpec base = SmallSpec("x", "gups", PolicyKind::kDemeter);
-  ExperimentSpec faulted = base;
-  faulted.config.faults = *FaultPlan::Parse("bdrop=0.1");
-  EXPECT_NE(SpecContentHash(base), SpecContentHash(faulted));
-  ExperimentSpec other_fault = faulted;
-  other_fault.config.faults = *FaultPlan::Parse("bdrop=0.2");
-  EXPECT_NE(SpecContentHash(faulted), SpecContentHash(other_fault));
-  // Observability toggles must NOT reseed: they observe the run, they are
-  // not part of it.
-  ExperimentSpec checked = base;
-  checked.config.check_invariants = true;
-  EXPECT_EQ(SpecContentHash(base), SpecContentHash(checked));
-  // Non-default degradation settings are behaviour, so they do reseed.
-  ExperimentSpec degraded = base;
-  degraded.vms[0].demeter.degradation.host_batch_pages = 64;
-  EXPECT_NE(SpecContentHash(base), SpecContentHash(degraded));
-  ExperimentSpec ablation = base;
-  ablation.vms[0].demeter.degradation.enabled = false;
-  EXPECT_NE(SpecContentHash(base), SpecContentHash(ablation));
+// The runner adds nothing to a spec: RunExperiment runs at the base seed,
+// exactly as the same config driven by hand. So a bench that moves from
+// hand-driven machines onto the runner keeps its results byte for byte.
+TEST(SeedRuleTest, RunExperimentEqualsHandDrivenMachine) {
+  ExperimentSpec spec = SmallSpec("hand", "gups", PolicyKind::kDemeter, 60000);
+  spec.vms.push_back(SmallSpec("hand", "btree", PolicyKind::kTpp, 40000).vms[0]);
+  spec.config.tiers = {TierSpec::LocalDram(20 * kMiB), TierSpec::Pmem(128 * kMiB)};
+  spec.config.faults = *FaultPlan::Parse("bdrop=0.3,pebsdrop=0.2,migfail=0.1");
+  Machine machine(spec.config);
+  for (const VmSetup& setup : spec.vms) {
+    machine.AddVm(setup);
+  }
+  machine.Run();
+  ExpectSameRun(RunExperiment(spec), {&machine.result(0), &machine.result(1)},
+                machine.SnapshotMetrics().FilterPrefix("host/", /*strip=*/true));
 }
 
-TEST(ExperimentSpecTest, AnyFieldChangeReseeds) {
-  const ExperimentSpec base = SmallSpec("x", "gups", PolicyKind::kDemeter);
-  ExperimentSpec renamed = base;
-  renamed.name = "y";
-  ExperimentSpec repoliced = base;
-  repoliced.vms[0].policy = PolicyKind::kTpp;
-  ExperimentSpec reseeded = base;
-  reseeded.config.seed = 43;
-  ExperimentSpec resized = base;
-  resized.vms[0].footprint_bytes += kPageSize;
-  EXPECT_NE(SpecContentHash(base), SpecContentHash(renamed));
-  EXPECT_NE(SpecContentHash(base), SpecContentHash(repoliced));
-  EXPECT_NE(SpecContentHash(base), SpecContentHash(reseeded));
-  EXPECT_NE(SpecContentHash(base), SpecContentHash(resized));
+TEST(SeedRuleTest, RunExperimentEqualsHandDrivenTwoHostCluster) {
+  ExperimentSpec spec = SmallSpec("fleet", "gups", PolicyKind::kDemeter, 60000);
+  for (int i = 0; i < 3; ++i) {
+    spec.vms.push_back(spec.vms[0]);
+  }
+  spec.config.tiers = {TierSpec::LocalDram(20 * kMiB), TierSpec::Pmem(192 * kMiB)};
+  spec.config.faults = *FaultPlan::Parse("migratefail=0.5/1ms@0,migratefail=0.5/1ms@1");
+  spec.cluster.num_hosts = 2;
+  spec.cluster.host_faults = {*FaultPlan::Parse("tiershrink=0.3/6ms/20ms@0"), FaultPlan{}};
+  Cluster cluster(spec.config, spec.cluster);
+  for (const VmSetup& setup : spec.vms) {
+    cluster.AddVm(setup);
+  }
+  cluster.Run();
+  std::vector<const VmRunResult*> by_hand;
+  for (int i = 0; i < cluster.num_vms(); ++i) {
+    by_hand.push_back(&cluster.result(i));
+  }
+  ExpectSameRun(RunExperiment(spec), by_hand, cluster.SnapshotMetrics());
 }
 
 // --------------------------------------------------------- Runner mechanics
@@ -131,18 +172,16 @@ TEST(RunnerTest, ResultsComeBackInSpecOrder) {
   }
 }
 
-TEST(RunnerTest, TransientFailureIsRetriedOnce) {
+TEST(RunnerTest, ThrowingSpecIsIsolated) {
+  // A run is a deterministic function of its spec, so the runner tries each
+  // spec once: the throwing spec reports its error, its neighbours finish.
   std::mutex mu;
-  std::map<std::string, int> tries;
+  std::map<std::string, int> runs;
   RunnerOptions options = QuietOptions(2);
   options.run_fn = [&](const ExperimentSpec& spec) -> ExperimentResult {
-    int attempt;
     {
       std::lock_guard<std::mutex> lock(mu);
-      attempt = ++tries[spec.name];
-    }
-    if (spec.name == "flaky" && attempt == 1) {
-      throw std::runtime_error("transient");
+      ++runs[spec.name];
     }
     if (spec.name == "broken") {
       throw std::runtime_error("permanent");
@@ -153,17 +192,21 @@ TEST(RunnerTest, TransientFailureIsRetriedOnce) {
     return result;
   };
   ExperimentRunner runner(options);
-  runner.Submit(SmallSpec("flaky", "gups", PolicyKind::kStatic));
+  runner.Submit(SmallSpec("before", "gups", PolicyKind::kStatic));
   runner.Submit(SmallSpec("broken", "gups", PolicyKind::kStatic));
-  runner.Submit(SmallSpec("fine", "gups", PolicyKind::kStatic));
+  runner.Submit(SmallSpec("after", "gups", PolicyKind::kStatic));
   const std::vector<ExperimentResult> results = runner.RunAll();
+  ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].ok);
-  EXPECT_EQ(results[0].attempts, 2);
   EXPECT_FALSE(results[1].ok);
-  EXPECT_EQ(results[1].attempts, 2);
+  EXPECT_EQ(results[1].spec.name, "broken");
   EXPECT_EQ(results[1].error, "permanent");
   EXPECT_TRUE(results[2].ok);
-  EXPECT_EQ(results[2].attempts, 1);
+  for (const auto& [name, count] : runs) {
+    EXPECT_EQ(count, 1) << name;
+  }
+  EXPECT_NE(JsonLinesSink::ToJsonLines(results[1]).find("\"error\":\"permanent\""),
+            std::string::npos);
 }
 
 // ----------------------------------------------- Determinism across --jobs=N
@@ -201,7 +244,6 @@ TEST(RunnerDeterminismTest, SameResultsWithOneAndEightJobs) {
     const ExperimentResult& b = parallel[i];
     ASSERT_TRUE(a.ok) << a.error;
     ASSERT_TRUE(b.ok) << b.error;
-    EXPECT_EQ(a.seed, b.seed);
     ASSERT_EQ(a.vms.size(), b.vms.size());
     for (size_t v = 0; v < a.vms.size(); ++v) {
       const VmRunResult& x = a.vms[v];
@@ -243,7 +285,6 @@ TEST(RunnerDeterminismTest, SeedIndependentOfSubmissionOrder) {
     const ExperimentResult& fwd = f[i];
     const ExperimentResult& bwd = b[f.size() - 1 - i];
     EXPECT_EQ(fwd.spec.name, bwd.spec.name);
-    EXPECT_EQ(fwd.seed, bwd.seed);
     EXPECT_EQ(fwd.vms[0].elapsed_s, bwd.vms[0].elapsed_s);
   }
 }
