@@ -8,7 +8,9 @@
 // Flags accepted by every bench (unknown flags are rejected with a usage
 // message):
 //   --full        larger (slower) configuration closer to paper scale
-//   --smoke       tiny configuration for CI smoke runs (seconds, not minutes)
+//   --smoke       tiny configuration for CI smoke runs (seconds, not minutes);
+//                 it checks flags, determinism and pinned counters, and ends
+//                 too early for the baseline policies to migrate a page
 //   --faults=SPEC inject the given fault schedule into every machine
 //                 (see FaultPlan::Parse for the SPEC grammar)
 //   --check       audit cross-layer invariants during every run (abort on
@@ -98,8 +100,10 @@ struct BenchScale {
         scale.vcpus = 4;
         scale.concurrent_vms = 9;
       } else if (std::strcmp(arg, "--smoke") == 0) {
-        // CI-sized: small enough that a full sweep finishes in seconds while
-        // still exercising every policy/provisioning code path.
+        // CI-sized: a full sweep finishes in seconds. The runs end after a
+        // few milliseconds of virtual time, before TPP, Nomad and TPP-H
+        // first migrate a page, so the policy results' shapes need default
+        // scale.
         scale.vm_bytes = 8 * kMiB;
         scale.transactions = 20000;
         scale.vcpus = 2;

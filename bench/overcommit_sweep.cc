@@ -85,7 +85,6 @@ MachineConfig OvercommitHostFor(const BenchScale& scale, int num_vms, double rat
       TierSpec::Pmem(PageCeil(static_cast<uint64_t>(static_cast<double>(scale.vm_bytes * n) * 0.55)));
   config.tiers.push_back(TierSpec::Zswap(scale.vm_bytes * n));
   config.overcommit.enabled = true;
-  config.overcommit.ratio = ratio;
   return config;
 }
 

@@ -81,7 +81,7 @@ Cluster::Cluster(const MachineConfig& config, const ClusterSetup& setup)
   migrator_ = std::make_unique<LiveMigrator>(setup_.migration, hosts_, faults_.get());
 
   MetricScope scope(&registry_, "cluster");
-  scope.Gauge("hosts") = static_cast<double>(setup_.num_hosts);
+  scope.RegisterGaugeFn("hosts", [hosts = static_cast<double>(setup_.num_hosts)] { return hosts; });
   migrator_->RegisterMetrics(scope.Sub("migration"));
   MetricScope placement = scope.Sub("placement");
   placement.RegisterCounter("placements", &placer_.stats().placements);
@@ -113,6 +113,8 @@ Cluster::Cluster(const MachineConfig& config, const ClusterSetup& setup)
 
 int Cluster::AddVm(const VmSetup& setup) {
   DEMETER_CHECK(!ran_) << "AddVm after Run";
+  DEMETER_CHECK(setup.boot_at < kVcpuClockLimitNs)
+      << "boot_at " << setup.boot_at << " ns is outside the vCPU clock's domain (2^48 ns)";
   const int i = static_cast<int>(setups_.size());
   setups_.push_back(setup);
   locations_.push_back(ClusterVmLocation{});

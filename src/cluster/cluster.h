@@ -145,7 +145,7 @@ class Cluster {
   };
 
   // Failure detector's per-host ledger. `down`/`quarantine_until_barrier`
-  // gate placement; `failures`/`migration_aborts` feed Score via Loads().
+  // gate placement; `failures`/`migration_aborts` feed Damage via Loads().
   struct HostHealth {
     bool down = false;
     Nanos down_until = 0;                  // Virtual time the host resurrects.

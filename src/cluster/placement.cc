@@ -4,6 +4,30 @@
 
 namespace demeter {
 
+namespace {
+
+double Headroom(const HostLoad& load) {
+  // Far-tier frames are worth half a near frame to a newcomer: its pages
+  // start there when FMEM is tight.
+  return static_cast<double>(load.fmem_free_pages) +
+         0.5 * static_cast<double>(load.far_free_pages);
+}
+
+double Damage(const HostLoad& load) {
+  // Every frame of far pressure or damage history costs a tenth — enough to
+  // steer identical-capacity fleets away from battered hosts without
+  // overriding real headroom gaps. Health history weighs heavier: an
+  // aborted migration at a host costs a full frame-equivalent and a
+  // whole-host crash costs 64 — a recently resurrected host must rebuild
+  // trust before it wins close calls, but a large genuine headroom gap
+  // still dominates.
+  return 0.1 * static_cast<double>(load.far_used_pages + load.poisoned_pages +
+                                   load.carved_pages) +
+         static_cast<double>(load.migration_aborts) + 64.0 * static_cast<double>(load.failures);
+}
+
+}  // namespace
+
 const char* PlacementPolicyName(PlacementPolicy policy) {
   switch (policy) {
     case PlacementPolicy::kFirstFit:
@@ -30,22 +54,7 @@ PlacementPolicy PlacementPolicyFromName(const std::string& name) {
   return PlacementPolicy::kFirstFit;
 }
 
-double PlacementController::Score(const HostLoad& load) {
-  // Far-tier frames are worth half a near frame to a newcomer (its pages
-  // start there when FMEM is tight), and every frame of far pressure or
-  // damage history costs a tenth — enough to steer identical-capacity
-  // fleets away from battered hosts without overriding real headroom gaps.
-  // Health history weighs heavier: an aborted migration at a host costs a
-  // full frame-equivalent and a whole-host crash costs 64 — a recently
-  // resurrected host must rebuild trust before it wins close calls, but a
-  // large genuine headroom gap still dominates.
-  return static_cast<double>(load.fmem_free_pages) +
-         0.5 * static_cast<double>(load.far_free_pages) -
-         0.1 * static_cast<double>(load.far_used_pages + load.poisoned_pages +
-                                   load.carved_pages) -
-         static_cast<double>(load.migration_aborts) -
-         64.0 * static_cast<double>(load.failures);
-}
+double PlacementController::Score(const HostLoad& load) { return Headroom(load) - Damage(load); }
 
 int PlacementController::PickFallbackHost(const std::vector<HostLoad>& loads) {
   // Tier 1: healthy. Tier 2: shrinking. Tier 3: quarantined. A lower tier
@@ -92,7 +101,7 @@ bool PlacementController::Eligible(const HostLoad& load, uint64_t pages_needed,
 int PlacementController::PickHost(const std::vector<HostLoad>& loads, uint64_t pages_needed,
                                   uint64_t fmem_pages_needed) {
   int best = -1;
-  double best_score = 0.0;
+  double best_key = 0.0;
   for (int h = 0; h < static_cast<int>(loads.size()); ++h) {
     const HostLoad& load = loads[static_cast<size_t>(h)];
     if (!Eligible(load, pages_needed, fmem_pages_needed)) {
@@ -103,21 +112,22 @@ int PlacementController::PickHost(const std::vector<HostLoad>& loads, uint64_t p
         ++stats_.placements;
         return h;
       case PlacementPolicy::kBestFit: {
-        // Tightest fit: the smallest score still big enough. Strict `<`
-        // keeps the lowest index on ties.
-        const double score = Score(load);
-        if (best < 0 || score < best_score) {
+        // Tightest fit: the smallest headroom still big enough, with damage
+        // added so a battered host loses to an equally tight clean one.
+        // Strict `<` keeps the lowest index on ties.
+        const double key = Headroom(load) + Damage(load);
+        if (best < 0 || key < best_key) {
           best = h;
-          best_score = score;
+          best_key = key;
         }
         break;
       }
       case PlacementPolicy::kSpread: {
         const HostLoad* incumbent = best < 0 ? nullptr : &loads[static_cast<size_t>(best)];
         if (incumbent == nullptr || load.resident_vms < incumbent->resident_vms ||
-            (load.resident_vms == incumbent->resident_vms && Score(load) > best_score)) {
+            (load.resident_vms == incumbent->resident_vms && Score(load) > best_key)) {
           best = h;
-          best_score = Score(load);
+          best_key = Score(load);
         }
         break;
       }

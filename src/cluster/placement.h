@@ -68,9 +68,11 @@ class PlacementController {
   int PickHost(const std::vector<HostLoad>& loads, uint64_t pages_needed,
                uint64_t fmem_pages_needed = 0);
 
-  // Effective headroom in pages: full-weight FMEM, half-weight far tier,
-  // minus damage history and a far-pressure penalty. May go negative on a
-  // battered host — such hosts lose every best-fit/spread tiebreak.
+  // Headroom (pages a newcomer can use: full-weight FMEM, half-weight far
+  // tier) minus damage (far-tier pressure and damage history, in
+  // page-equivalents); may go negative on a battered host. Spread takes the
+  // highest score and best-fit the least headroom plus damage, so a damaged
+  // host loses close calls under both.
   static double Score(const HostLoad& load);
 
   // Last-resort host for a VM that must land somewhere even though no host

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -15,19 +13,6 @@
 namespace demeter {
 
 namespace {
-
-// Shortest decimal form that parses back to exactly the same double, so
-// ToSpec() is canonical and Parse(ToSpec()) round-trips bit-exactly.
-std::string FormatDouble(double value) {
-  char buf[64];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) {
-      break;
-    }
-  }
-  return buf;
-}
 
 bool ParseProbability(const std::string& text, double* out, std::string* error) {
   char* end = nullptr;
@@ -171,85 +156,6 @@ double FaultPlan::probability(FaultSite site) const {
       return 0.0;
   }
   return 0.0;
-}
-
-std::string FaultPlan::ToSpec() const {
-  std::string spec;
-  auto append = [&spec](const std::string& token) {
-    if (!spec.empty()) {
-      spec += ',';
-    }
-    spec += token;
-  };
-  char buf[96];
-  if (balloon_delay_p > 0.0) {
-    std::snprintf(buf, sizeof(buf), "bdelay=%s/%" PRIu64, FormatDouble(balloon_delay_p).c_str(),
-                  balloon_delay_ns);
-    append(buf);
-  }
-  if (balloon_drop_p > 0.0) {
-    append("bdrop=" + FormatDouble(balloon_drop_p));
-  }
-  if (stall_duration_ns > 0) {
-    std::snprintf(buf, sizeof(buf), "stall=%" PRIu64 "/%" PRIu64, stall_duration_ns,
-                  stall_period_ns);
-    append(buf);
-  }
-  if (crash_duration_ns > 0) {
-    std::snprintf(buf, sizeof(buf), "crash=%" PRIu64 "/%" PRIu64, crash_duration_ns,
-                  crash_period_ns);
-    append(buf);
-  }
-  if (vq_capacity > 0) {
-    std::snprintf(buf, sizeof(buf), "vqcap=%" PRIu64, vq_capacity);
-    append(buf);
-  }
-  if (pebs_drop_p > 0.0) {
-    append("pebsdrop=" + FormatDouble(pebs_drop_p));
-  }
-  if (migration_fail_p > 0.0) {
-    append("migfail=" + FormatDouble(migration_fail_p));
-  }
-  if (tier_exhaust_p > 0.0) {
-    append("tierex=" + FormatDouble(tier_exhaust_p));
-  }
-  for (int t = 0; t < kMaxFaultTiers; ++t) {
-    if (poison_p[static_cast<size_t>(t)] > 0.0) {
-      std::snprintf(buf, sizeof(buf), "poison=%s@%d",
-                    FormatDouble(poison_p[static_cast<size_t>(t)]).c_str(), t);
-      append(buf);
-    }
-  }
-  for (int t = 0; t < kMaxFaultTiers; ++t) {
-    const TierShrink& shrink = tier_shrink[static_cast<size_t>(t)];
-    if (shrink.frac > 0.0) {
-      std::snprintf(buf, sizeof(buf), "tiershrink=%s/%" PRIu64 "/%" PRIu64 "@%d",
-                    FormatDouble(shrink.frac).c_str(), shrink.duration_ns, shrink.period_ns, t);
-      append(buf);
-    }
-  }
-  if (swap_fail_p > 0.0) {
-    std::snprintf(buf, sizeof(buf), "swapfail=%s/%" PRIu64, FormatDouble(swap_fail_p).c_str(),
-                  swap_retry_backoff_ns);
-    append(buf);
-  }
-  for (int h = 0; h < kMaxFaultHosts; ++h) {
-    if (migrate_fail_p[static_cast<size_t>(h)] > 0.0) {
-      std::snprintf(buf, sizeof(buf), "migratefail=%s/%" PRIu64 "@%d",
-                    FormatDouble(migrate_fail_p[static_cast<size_t>(h)]).c_str(),
-                    migrate_fail_abort_ns[static_cast<size_t>(h)], h);
-      append(buf);
-    }
-  }
-  for (int h = 0; h < kMaxFaultHosts; ++h) {
-    if (host_fail_p[static_cast<size_t>(h)] > 0.0) {
-      std::snprintf(buf, sizeof(buf), "hostfail=%s/%" PRIu64 "@%d",
-                    FormatDouble(host_fail_p[static_cast<size_t>(h)]).c_str(),
-                    host_fail_down_ns[static_cast<size_t>(h)], h);
-      append(buf);
-    }
-  }
-  return spec;
 }
 
 std::optional<FaultPlan> FaultPlan::Parse(const std::string& spec, std::string* error) {

@@ -135,11 +135,6 @@ struct FaultPlan {
   // True when the plan injects nothing at all (the default).
   bool empty() const;
 
-  // Canonical spec string: fixed token order, no default-valued tokens,
-  // durations in plain nanoseconds. Parse(ToSpec()) reproduces the plan
-  // exactly, and equal plans always canonicalize identically.
-  std::string ToSpec() const;
-
   // Parses a spec string. Returns nullopt (and sets *error when given) on
   // bad syntax or out-of-range values. An empty string is a valid empty
   // plan.

@@ -35,7 +35,6 @@ struct GuestKernelConfig {
   // Per-node gPA span (balloon maximum) and initially present pages.
   std::vector<uint64_t> node_span_pages;
   std::vector<uint64_t> node_present_pages;
-  double reclaim_cost_ns = 3000.0;  // Direct-reclaim path per page.
   // Non-zero: shuffle each node's free list (allocator fragmentation).
   uint64_t free_list_shuffle_seed = 0;
 };

@@ -172,6 +172,8 @@ int Machine::AddVm(const VmSetup& setup) {
 }
 
 int Machine::AddVmInternal(const VmSetup& setup) {
+  DEMETER_CHECK(setup.boot_at < kVcpuClockLimitNs)
+      << "boot_at " << setup.boot_at << " ns is outside the vCPU clock's domain (2^48 ns)";
   VmSetup resolved = setup;
   resolved.vm.id = static_cast<int>(setups_.size());
   resolved.vm.start_full = setup.provision != ProvisionMode::kStatic;
@@ -435,7 +437,7 @@ void Machine::RunVmQuantum(int i) {
         progress.txn_latency_ns += steps[k].ns;
         if (++progress.ops_in_txn >= ops_per_txn) {
           progress.ops_in_txn = 0;
-          result.txn_latency_ns.Record(static_cast<uint64_t>(progress.txn_latency_ns.value()));
+          result.txn_latency_ns.Record(static_cast<uint64_t>(progress.txn_latency_ns));
           progress.txn_latency_ns = 0.0;
           ++rt.transactions;
           const Nanos clock_after = steps[k].clock_after;
@@ -562,7 +564,7 @@ void Machine::BootVm(int i, Nanos at) {
   // phase-3 alignment boot-time VMs get.
   double start = 0.0;
   for (int v = 0; v < machine_vm.num_vcpus(); ++v) {
-    start = std::max(start, machine_vm.vcpu(v).clock_ns.value());
+    start = std::max(start, machine_vm.vcpu(v).clock_ns);
   }
   StartClocks(i, start);
   AttachPolicy(i, static_cast<Nanos>(start));
@@ -623,7 +625,7 @@ void Machine::StartRun() {
       continue;
     }
     for (int v = 0; v < vm(i).num_vcpus(); ++v) {
-      global_start = std::max(global_start, vm(i).vcpu(v).clock_ns.value());
+      global_start = std::max(global_start, vm(i).vcpu(v).clock_ns);
     }
   }
   for (int i = 0; i < num_vms(); ++i) {
@@ -753,6 +755,8 @@ void Machine::RegisterVmMetricsFor(int i) {
 
 int Machine::AdmitVm(const VmSetup& setup, Nanos at, bool restarted) {
   DEMETER_CHECK(ran_) << "AdmitVm before StartRun (use AddVm)";
+  DEMETER_CHECK(at < kVcpuClockLimitNs)
+      << "AdmitVm at " << at << " ns is outside the vCPU clock's domain (2^48 ns)";
   const int i = AddVmInternal(setup);
   if (restarted) {
     ++runtimes_[static_cast<size_t>(i)].lifecycle.restarts;
@@ -781,7 +785,7 @@ MigratedVm Machine::ExtractVm(int i, Nanos now) {
   out.vcpu_clock_ns.reserve(static_cast<size_t>(vcpus));
   out.next_context_switch.reserve(static_cast<size_t>(vcpus));
   for (int v = 0; v < vcpus; ++v) {
-    out.vcpu_clock_ns.push_back(machine_vm.vcpu(v).clock_ns.value());
+    out.vcpu_clock_ns.push_back(machine_vm.vcpu(v).clock_ns);
     out.next_context_switch.push_back(machine_vm.vcpu(v).next_context_switch);
   }
   out.workload = std::move(workloads_[static_cast<size_t>(i)]);
@@ -845,7 +849,7 @@ int Machine::AdoptVm(MigratedVm&& moved, Nanos now, double extra_downtime_ns) {
     vcpu.clock_ns = moved.vcpu_clock_ns[static_cast<size_t>(v)] + downtime_ns;
     vcpu.next_context_switch = moved.next_context_switch[static_cast<size_t>(v)] +
                                static_cast<Nanos>(downtime_ns);
-    resume = std::max(resume, vcpu.clock_ns.value());
+    resume = std::max(resume, vcpu.clock_ns);
   }
   if (tracer_.enabled()) {
     tracer_.Instant("lifecycle", "migrate_in", now, i, 0,

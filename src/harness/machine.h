@@ -25,7 +25,6 @@
 #include "src/hyper/overcommit.h"
 #include "src/hyper/vm.h"
 #include "src/hyper/vm_image.h"
-#include "src/sim/sim_clock.h"
 #include "src/swap/swap_device.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/tracer.h"
@@ -104,7 +103,8 @@ struct VmSetup {
   // ---- lifecycle churn ----------------------------------------------------
   // 0 = boot with the machine (the default). Non-zero: the VM is created up
   // front but boots mid-run, once global virtual time reaches `boot_at` —
-  // provisioning, workload setup, and policy attach all happen then.
+  // provisioning, workload setup, and policy attach all happen then. Must
+  // be below kVcpuClockLimitNs.
   Nanos boot_at = 0;
   // Tear the VM down (full resource reclaim, audited) as soon as it reaches
   // its transaction target, instead of idling until the run ends.
@@ -142,10 +142,7 @@ struct VcpuProgress {
   std::vector<AccessOp> batch;  // Ops fetched from the workload generator.
   size_t batch_pos = 0;         // Next op of `batch` to execute.
   int ops_in_txn = 0;           // Ops so far in the current transaction.
-  // Accumulated latency of the current transaction. Compensated like the
-  // vCPU clock — at long virtual horizons a plain double sum drops sub-ulp
-  // op costs, skewing recorded latencies.
-  SimClock txn_latency_ns;
+  double txn_latency_ns = 0.0;  // Summed op costs of the current transaction.
 };
 
 // Everything a live migration carries between Machines: the resolved setup,
@@ -231,9 +228,10 @@ class Machine {
 
   // ---- live migration -----------------------------------------------------
   // Adds a VM to a machine that is already running and boots it at `at`
-  // (clamped forward to the event horizon like any mid-run boot). Returns
-  // the new VM's index. `restarted` marks the admission as a post-failure
-  // reincarnation in `vm<i>/lifecycle/restarts`.
+  // (clamped forward to the event horizon like any mid-run boot); `at` and
+  // `setup.boot_at` must be below kVcpuClockLimitNs. Returns the new VM's
+  // index. `restarted` marks the admission as a post-failure reincarnation
+  // in `vm<i>/lifecycle/restarts`.
   int AdmitVm(const VmSetup& setup, Nanos at, bool restarted = false);
   // Stop-and-copy extraction of a running VM at virtual time `now`: captures
   // its memory image and execution progress, then drains every resource it

@@ -39,9 +39,6 @@ class Hypervisor;
 
 struct OvercommitConfig {
   bool enabled = false;
-  // Aggregate fast-node demand / physical FMEM capacity. Informational
-  // (the bench sizes the host); recorded so results are self-describing.
-  double ratio = 1.0;
   Nanos period_ns = kMillisecond;
   // Arbitration hysteresis on FMEM free fraction: reclaim below `low`,
   // stop (and deflate) above `high`.
@@ -49,8 +46,6 @@ struct OvercommitConfig {
   double high_free_frac = 0.16;
   // Largest balloon delta requested per tick (bounds per-tick guest work).
   uint64_t max_batch_pages = 256;
-
-  friend bool operator==(const OvercommitConfig&, const OvercommitConfig&) = default;
 };
 
 class OvercommitScheduler {

@@ -30,7 +30,6 @@
 #include "src/mmu/walker.h"
 #include "src/pebs/pebs.h"
 #include "src/sim/cpu_account.h"
-#include "src/sim/sim_clock.h"
 #include "src/telemetry/metrics.h"
 #include "src/workloads/workload.h"
 
@@ -64,15 +63,22 @@ struct VmConfig {
   uint64_t smem_pages() const { return total_pages() - fmem_pages(); }
 };
 
+// The vCPU clock's domain. Virtual time is a plain double advanced by one
+// fractional op cost at a time; below 2^48 ns (about 3.26 days) doubles are
+// at most 1/32 ns apart, and every run stays far below that. Machine and
+// Cluster reject a boot_at, and Machine::AdmitVm an admission time, at or
+// above this before the VM runs.
+inline constexpr Nanos kVcpuClockLimitNs = Nanos{1} << 48;
+
 struct Vcpu {
   int id = 0;
-  SimClock clock_ns;  // Local virtual time (compensated; reads as double).
+  double clock_ns = 0.0;  // Local virtual time.
   Tlb tlb;
   std::unique_ptr<PebsUnit> pebs;
   uint64_t accesses = 0;
   Nanos next_context_switch = 0;
 
-  Nanos now() const { return clock_ns.now(); }
+  Nanos now() const { return static_cast<Nanos>(clock_ns); }
 };
 
 struct VmStats {

@@ -188,41 +188,6 @@ MetricRegistry::Cell& MetricRegistry::NewCell(std::string_view name, MetricKind 
   return it->second;
 }
 
-uint64_t& MetricRegistry::Counter(std::string_view name) {
-  const auto it = cells_.find(name);
-  if (it != cells_.end()) {
-    DEMETER_CHECK(it->second.kind == MetricKind::kCounter &&
-                  it->second.ext_counter == nullptr && !it->second.fn_counter)
-        << "metric '" << std::string(name) << "' is not an owned counter";
-    return it->second.counter;
-  }
-  return NewCell(name, MetricKind::kCounter).counter;
-}
-
-double& MetricRegistry::Gauge(std::string_view name) {
-  const auto it = cells_.find(name);
-  if (it != cells_.end()) {
-    DEMETER_CHECK(it->second.kind == MetricKind::kGauge && it->second.ext_gauge == nullptr &&
-                  !it->second.fn_gauge)
-        << "metric '" << std::string(name) << "' is not an owned gauge";
-    return it->second.gauge;
-  }
-  return NewCell(name, MetricKind::kGauge).gauge;
-}
-
-Histogram& MetricRegistry::Distribution(std::string_view name) {
-  const auto it = cells_.find(name);
-  if (it != cells_.end()) {
-    DEMETER_CHECK(it->second.kind == MetricKind::kDistribution &&
-                  it->second.ext_distribution == nullptr)
-        << "metric '" << std::string(name) << "' is not an owned distribution";
-    return *it->second.distribution;
-  }
-  Cell& cell = NewCell(name, MetricKind::kDistribution);
-  cell.distribution = std::make_unique<Histogram>();
-  return *cell.distribution;
-}
-
 void MetricRegistry::RegisterCounter(std::string_view name, const uint64_t* cell) {
   DEMETER_CHECK(cell != nullptr);
   NewCell(name, MetricKind::kCounter).ext_counter = cell;
@@ -258,21 +223,14 @@ MetricSample MetricRegistry::SampleCell(const std::string& name, const Cell& cel
   sample.kind = cell.kind;
   switch (cell.kind) {
     case MetricKind::kCounter:
-      sample.counter = cell.fn_counter                   ? cell.fn_counter()
-                       : cell.ext_counter != nullptr     ? *cell.ext_counter
-                                                         : cell.counter;
+      sample.counter = cell.fn_counter ? cell.fn_counter() : *cell.ext_counter;
       break;
     case MetricKind::kGauge:
-      sample.gauge = cell.fn_gauge                 ? cell.fn_gauge()
-                     : cell.ext_gauge != nullptr   ? *cell.ext_gauge
-                                                   : cell.gauge;
+      sample.gauge = cell.fn_gauge ? cell.fn_gauge() : *cell.ext_gauge;
       break;
-    case MetricKind::kDistribution: {
-      const Histogram* h =
-          cell.ext_distribution != nullptr ? cell.ext_distribution : cell.distribution.get();
-      sample.distribution = DistributionSummary::FromHistogram(*h);
+    case MetricKind::kDistribution:
+      sample.distribution = DistributionSummary::FromHistogram(*cell.ext_distribution);
       break;
-    }
   }
   return sample;
 }
@@ -328,16 +286,6 @@ std::string MetricScope::Name(std::string_view name) const {
   full += '/';
   full += name;
   return full;
-}
-
-uint64_t& MetricScope::Counter(std::string_view name) const {
-  return registry_->Counter(Name(name));
-}
-
-double& MetricScope::Gauge(std::string_view name) const { return registry_->Gauge(Name(name)); }
-
-Histogram& MetricScope::Distribution(std::string_view name) const {
-  return registry_->Distribution(Name(name));
 }
 
 void MetricScope::RegisterCounter(std::string_view name, const uint64_t* cell) const {

@@ -4,16 +4,12 @@
 // "host/hyper/ept_populates"), replacing the N divergent ad-hoc stats
 // structs as the export path for experiment results.
 //
-// Two binding styles coexist:
-//   * owned metrics    — the registry is the storage; callers mutate the
-//     returned reference (Counter/Gauge/Distribution).
-//   * registered views — the subsystem keeps its existing stats struct (the
-//     hot path stays a plain `++field`), and registers a pointer or a read
-//     callback; snapshots read through it. This is how the legacy structs
-//     (TlbStats, VmStats, PebsUnit::Stats, BalloonStats, policy counters)
-//     were migrated without touching their increment sites: the old
-//     accessor APIs remain as thin views over the same cells the registry
-//     exports.
+// The registry stores no values: each subsystem keeps its own stats struct
+// (the hot path stays a plain `++field`) and registers a pointer to a cell
+// or a read callback; snapshots read through it. This is how the stats
+// structs (TlbStats, VmStats, PebsUnit::Stats, BalloonStats, policy
+// counters) joined the registry without touching their increment sites:
+// their accessor APIs are views over the same cells the registry exports.
 //
 // Determinism guarantee: a snapshot is an ordered list sorted by metric
 // name (std::map iteration), and serialization uses fixed formatting, so
@@ -26,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -110,16 +105,9 @@ class MetricRegistry {
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
-  // ---- Owned metrics (registry is the storage) -------------------------
-  // Get-or-create; the returned reference is stable for the registry's
-  // lifetime. Re-requesting an existing name with a different kind aborts.
-  uint64_t& Counter(std::string_view name);
-  double& Gauge(std::string_view name);
-  Histogram& Distribution(std::string_view name);
-
-  // ---- Registered views over subsystem-owned stats ---------------------
-  // The pointed-to cell (or callback captures) must outlive every
-  // Snapshot() call. Registering an already-bound name aborts.
+  // Registered views over subsystem-owned stats. The pointed-to cell (or
+  // callback captures) must outlive every Snapshot() call. Registering an
+  // already-bound name aborts.
   void RegisterCounter(std::string_view name, const uint64_t* cell);
   void RegisterCounterFn(std::string_view name, std::function<uint64_t()> read);
   void RegisterGauge(std::string_view name, const double* cell);
@@ -142,11 +130,7 @@ class MetricRegistry {
  private:
   struct Cell {
     MetricKind kind = MetricKind::kCounter;
-    // Owned storage (used when no external source is bound).
-    uint64_t counter = 0;
-    double gauge = 0.0;
-    std::unique_ptr<Histogram> distribution;
-    // External sources; at most one is set.
+    // The bound source: exactly one is set, and it matches `kind`.
     const uint64_t* ext_counter = nullptr;
     const double* ext_gauge = nullptr;
     const Histogram* ext_distribution = nullptr;
@@ -163,8 +147,8 @@ class MetricRegistry {
   std::map<std::string, Cell, std::less<>> cells_;
 };
 
-// Prefix-scoped handle: Scope("vm0").Sub("tlb").Counter("hits") touches
-// "vm0/tlb/hits". Cheap to copy; does not own the registry.
+// Prefix-scoped handle: Scope("vm0").Sub("tlb").RegisterCounter("hits", &c)
+// binds "vm0/tlb/hits". Cheap to copy; does not own the registry.
 class MetricScope {
  public:
   MetricScope(MetricRegistry* registry, std::string prefix);
@@ -176,9 +160,6 @@ class MetricScope {
   // Full name under this scope's prefix.
   std::string Name(std::string_view name) const;
 
-  uint64_t& Counter(std::string_view name) const;
-  double& Gauge(std::string_view name) const;
-  Histogram& Distribution(std::string_view name) const;
   void RegisterCounter(std::string_view name, const uint64_t* cell) const;
   void RegisterCounterFn(std::string_view name, std::function<uint64_t()> read) const;
   void RegisterGauge(std::string_view name, const double* cell) const;

@@ -103,13 +103,29 @@ TEST(PlacementTest, HeadroomReserveRejectsNearFullHosts) {
 }
 
 TEST(PlacementTest, DamageHistoryLosesTiebreaks) {
-  // Equal free memory, but host 0 has lost frames to poison/shrink: best-fit
-  // must prefer the undamaged host even though both are eligible.
-  HostLoad battered;
-  battered.fmem_free_pages = 1000;
+  // Equal free memory, but one host has lost frames to poison/shrink or has
+  // crashed: best-fit and spread must both prefer the undamaged host, in
+  // either host order, even though both are eligible.
+  HostLoad battered = Roomy(1000);
   battered.poisoned_pages = 200;
   battered.carved_pages = 100;
   EXPECT_LT(PlacementController::Score(battered), PlacementController::Score(Roomy(1000)));
+  HostLoad crashed = Roomy(1000);
+  crashed.failures = 1;
+  for (const HostLoad& damaged : {battered, crashed}) {
+    for (PlacementPolicy policy : {PlacementPolicy::kBestFit, PlacementPolicy::kSpread}) {
+      PlacementController placer(policy);
+      EXPECT_EQ(placer.PickHost({damaged, Roomy(1000)}, 100), 1) << PlacementPolicyName(policy);
+      EXPECT_EQ(placer.PickHost({Roomy(1000), damaged}, 100), 0) << PlacementPolicyName(policy);
+    }
+  }
+  // A real headroom gap still decides best-fit: a damaged host tighter by
+  // far more than its damage (700 pages against 30) wins either way round.
+  HostLoad tight = battered;
+  tight.fmem_free_pages = 300;
+  PlacementController best_fit(PlacementPolicy::kBestFit);
+  EXPECT_EQ(best_fit.PickHost({tight, Roomy(1000)}, 100), 0);
+  EXPECT_EQ(best_fit.PickHost({Roomy(1000), tight}, 100), 1);
 }
 
 // -------------------------------------------------- Telemetry namespacing
@@ -178,6 +194,17 @@ FaultPlan MustParse(const std::string& spec) {
 // A shrink plan whose first carve window ([20ms, 26ms)) straddles the 20ms
 // barrier, so evacuation triggers early in every test run.
 constexpr char kShrinkSpec[] = "tiershrink=0.3/6ms/20ms@0";
+
+TEST(ClusterDeathTest, AddVmRejectsBootAtOutsideTheClockDomain) {
+  // The fleet refuses a boot past the vCPU clock's domain when the VM is
+  // registered, not at the barrier that would place it.
+  ClusterSetup setup;
+  setup.num_hosts = 2;
+  Cluster cluster(FleetHost(), setup);
+  VmSetup vm = FleetVm();
+  vm.boot_at = kVcpuClockLimitNs;
+  EXPECT_DEATH(cluster.AddVm(vm), "boot_at 281474976710656 ns is outside");
+}
 
 // ------------------------------------------- Single-host byte-identity
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -22,10 +23,9 @@ TEST(FaultPlanTest, EmptySpecIsEmptyPlan) {
   const auto plan = FaultPlan::Parse("");
   ASSERT_TRUE(plan.has_value());
   EXPECT_TRUE(plan->empty());
-  EXPECT_EQ(plan->ToSpec(), "");
 }
 
-TEST(FaultPlanTest, FullSpecRoundTrips) {
+TEST(FaultPlanTest, FullSpecParses) {
   const std::string spec =
       "bdelay=0.1/200us,bdrop=0.05,stall=5ms/25ms,crash=50ms/100ms,"
       "vqcap=8,pebsdrop=0.25,migfail=0.1,tierex=0.02";
@@ -44,14 +44,9 @@ TEST(FaultPlanTest, FullSpecRoundTrips) {
   EXPECT_DOUBLE_EQ(plan->pebs_drop_p, 0.25);
   EXPECT_DOUBLE_EQ(plan->migration_fail_p, 0.1);
   EXPECT_DOUBLE_EQ(plan->tier_exhaust_p, 0.02);
-  // Canonicalization is a fixed point: Parse(ToSpec()) == plan.
-  const auto again = FaultPlan::Parse(plan->ToSpec(), &error);
-  ASSERT_TRUE(again.has_value()) << error;
-  EXPECT_EQ(*again, *plan);
-  EXPECT_EQ(again->ToSpec(), plan->ToSpec());
 }
 
-TEST(FaultPlanTest, PoisonAndShrinkRoundTrip) {
+TEST(FaultPlanTest, PoisonAndShrinkParse) {
   const std::string spec =
       "poison=0.002@0,poison=0.0005@1,tiershrink=0.3/2ms/10ms@0,"
       "tiershrink=0.25/5ms/20ms@1";
@@ -70,13 +65,9 @@ TEST(FaultPlanTest, PoisonAndShrinkRoundTrip) {
   // Poison probabilities map onto the per-tier fault sites.
   EXPECT_DOUBLE_EQ(plan->probability(FaultSite::kPoisonFmem), 0.002);
   EXPECT_DOUBLE_EQ(plan->probability(FaultSite::kPoisonSmem), 0.0005);
-  const auto again = FaultPlan::Parse(plan->ToSpec(), &error);
-  ASSERT_TRUE(again.has_value()) << error;
-  EXPECT_EQ(*again, *plan);
-  EXPECT_EQ(again->ToSpec(), plan->ToSpec());
 }
 
-TEST(FaultPlanTest, SwapFailRoundTrips) {
+TEST(FaultPlanTest, SwapFailParses) {
   std::string error;
   const auto plan = FaultPlan::Parse("swapfail=0.3/1ms", &error);
   ASSERT_TRUE(plan.has_value()) << error;
@@ -84,13 +75,9 @@ TEST(FaultPlanTest, SwapFailRoundTrips) {
   EXPECT_DOUBLE_EQ(plan->swap_fail_p, 0.3);
   EXPECT_EQ(plan->swap_retry_backoff_ns, kMillisecond);
   EXPECT_DOUBLE_EQ(plan->probability(FaultSite::kSwapFail), 0.3);
-  const auto again = FaultPlan::Parse(plan->ToSpec(), &error);
-  ASSERT_TRUE(again.has_value()) << error;
-  EXPECT_EQ(*again, *plan);
-  EXPECT_EQ(again->ToSpec(), plan->ToSpec());
 }
 
-TEST(FaultPlanTest, MigrateFailRoundTrips) {
+TEST(FaultPlanTest, MigrateFailParses) {
   std::string error;
   const auto plan =
       FaultPlan::Parse("migratefail=0.3/1ms@0,migratefail=0.5/2ms@3", &error);
@@ -103,13 +90,9 @@ TEST(FaultPlanTest, MigrateFailRoundTrips) {
   EXPECT_DOUBLE_EQ(plan->migrate_fail_p[1], 0.0);
   // Per-host site: the flat per-site probability accessor stays zero.
   EXPECT_DOUBLE_EQ(plan->probability(FaultSite::kLiveMigrateFail), 0.0);
-  const auto again = FaultPlan::Parse(plan->ToSpec(), &error);
-  ASSERT_TRUE(again.has_value()) << error;
-  EXPECT_EQ(*again, *plan);
-  EXPECT_EQ(again->ToSpec(), plan->ToSpec());
 }
 
-TEST(FaultPlanTest, HostFailRoundTrips) {
+TEST(FaultPlanTest, HostFailParses) {
   std::string error;
   const auto plan = FaultPlan::Parse("hostfail=0.5/8ms@0,hostfail=0.25/40ms@2", &error);
   ASSERT_TRUE(plan.has_value()) << error;
@@ -121,10 +104,6 @@ TEST(FaultPlanTest, HostFailRoundTrips) {
   EXPECT_DOUBLE_EQ(plan->host_fail_p[1], 0.0);
   // Per-host site: the flat per-site probability accessor stays zero.
   EXPECT_DOUBLE_EQ(plan->probability(FaultSite::kHostFail), 0.0);
-  const auto again = FaultPlan::Parse(plan->ToSpec(), &error);
-  ASSERT_TRUE(again.has_value()) << error;
-  EXPECT_EQ(*again, *plan);
-  EXPECT_EQ(again->ToSpec(), plan->ToSpec());
 }
 
 TEST(FaultPlanTest, RejectsMalformedSpecs) {
@@ -183,37 +162,45 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   }
 }
 
-// Round-trip property: every accepted spec canonicalises to a spec that
-// parses back to the same plan, and canonicalisation is a fixed point.
-TEST(FaultPlanTest, ParseOfToSpecIsIdentity) {
-  const char* specs[] = {
-      "",
-      "bdelay=0.1/200us,bdrop=0.05,stall=5ms/25ms,crash=50ms/100ms,"
-      "vqcap=8,pebsdrop=0.25,migfail=0.1,tierex=0.02",
-      "poison=0.002@0,poison=0.0005@1,tiershrink=0.3/2ms/10ms@0,"
-      "tiershrink=0.25/5ms/20ms@1",
-      "swapfail=0.3/1ms",
-      "migratefail=0.3/1ms@0,migratefail=0.5/2ms@3",
-      "hostfail=0.5/8ms@0,hostfail=0.25/40ms@2",
-      "poison=0.1@0,poison=0.2@1",
-      "migratefail=0.1/1ms@0,migratefail=0.2/1ms@1",
-      "hostfail=0.1/1ms@0,hostfail=0.2/1ms@1",
-      "migratefail=0.1/1ms@0,hostfail=0.2/1ms@0",
-      "bdrop=0.3,pebsdrop=0.7",
-      "bdrop=0,pebsdrop=1,stall=0/0,vqcap=0",
-      "vqcap=18446744073709551615",
-      "stall=18446744073709551615ns/18446744073709551615",
-      "crash=18446744073s/18446744073709551us",
-      "bdelay=0.1/007ms,swapfail=1e-3/1s",
+// Accepted inputs the tests above do not reach: one key on several tiers
+// or hosts, two per-host keys on one host, zero-valued tokens, UINT64_MAX
+// counts and durations, leading zeros and exponent notation. Each must
+// parse to exactly the plan beside it, every other field at its default.
+TEST(FaultPlanTest, EdgeSpecsParseToTheirFields) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  const struct {
+    const char* spec;
+    FaultPlan plan;
+  } cases[] = {
+      {"poison=0.1@0,poison=0.2@1", {.poison_p = {0.1, 0.2}}},
+      {"migratefail=0.1/1ms@0,migratefail=0.2/1ms@1",
+       {.migrate_fail_p = {0.1, 0.2}, .migrate_fail_abort_ns = {kMillisecond, kMillisecond}}},
+      {"hostfail=0.1/1ms@0,hostfail=0.2/1ms@1",
+       {.host_fail_p = {0.1, 0.2}, .host_fail_down_ns = {kMillisecond, kMillisecond}}},
+      {"migratefail=0.1/1ms@0,hostfail=0.2/1ms@0",
+       {.migrate_fail_p = {0.1},
+        .migrate_fail_abort_ns = {kMillisecond},
+        .host_fail_p = {0.2},
+        .host_fail_down_ns = {kMillisecond}}},
+      {"bdrop=0.3,pebsdrop=0.7", {.balloon_drop_p = 0.3, .pebs_drop_p = 0.7}},
+      {"bdrop=0,pebsdrop=1,stall=0/0,vqcap=0", {.pebs_drop_p = 1.0}},
+      {"vqcap=18446744073709551615", {.vq_capacity = kMax}},
+      {"stall=18446744073709551615ns/18446744073709551615",
+       {.stall_duration_ns = kMax, .stall_period_ns = kMax}},
+      {"crash=18446744073s/18446744073709551us",
+       {.crash_duration_ns = 18446744073 * kSecond,
+        .crash_period_ns = 18446744073709551 * kMicrosecond}},
+      {"bdelay=0.1/007ms,swapfail=1e-3/1s",
+       {.balloon_delay_p = 0.1,
+        .balloon_delay_ns = 7 * kMillisecond,
+        .swap_fail_p = 0.001,
+        .swap_retry_backoff_ns = kSecond}},
   };
-  for (const char* spec : specs) {
+  for (const auto& c : cases) {
     std::string error;
-    const auto plan = FaultPlan::Parse(spec, &error);
-    ASSERT_TRUE(plan.has_value()) << spec << ": " << error;
-    const auto again = FaultPlan::Parse(plan->ToSpec(), &error);
-    ASSERT_TRUE(again.has_value()) << spec << " -> " << plan->ToSpec() << ": " << error;
-    EXPECT_EQ(*again, *plan) << spec << " -> " << plan->ToSpec();
-    EXPECT_EQ(again->ToSpec(), plan->ToSpec()) << spec;
+    const auto plan = FaultPlan::Parse(c.spec, &error);
+    ASSERT_TRUE(plan.has_value()) << c.spec << ": " << error;
+    EXPECT_TRUE(*plan == c.plan) << c.spec;
   }
 }
 

@@ -192,34 +192,27 @@ TEST(Machine, TraceCaptureRecordsEventsWithoutChangingResults) {
   EXPECT_GT(events, 0u) << "enabled tracer should have captured migration/PMI events";
 }
 
-TEST(Machine, LongHorizonClockKeepsSubUlpCosts) {
-  // At a boot time of 2^57 ns the double ulp is 32 ns: a naive double vCPU
-  // clock rounds every ~50 ns op cost to a multiple of 32, systematically
-  // drifting virtual time (the same cost always rounds the same way). The
-  // compensated SimClock must reproduce the boot_at=0 run: identical access
-  // and transaction counts, and elapsed time within rounding noise instead
-  // of milliseconds of bias.
-  uint64_t accesses[2];
-  uint64_t transactions[2];
-  double elapsed[2];
-  const Nanos far_future = Nanos{1} << 57;
-  for (int pass = 0; pass < 2; ++pass) {
-    Machine machine(SmallHost());
-    VmSetup setup = SmallVm(PolicyKind::kStatic);
-    setup.target_transactions = 100000;
-    setup.boot_at = pass == 0 ? 0 : far_future;
-    const int i = machine.AddVm(setup);
-    machine.Run();
-    accesses[pass] = machine.result(i).vm_stats.accesses;
-    transactions[pass] = machine.result(i).transactions;
-    elapsed[pass] = machine.result(i).elapsed_s;
-  }
-  EXPECT_EQ(transactions[0], transactions[1]);
-  EXPECT_EQ(accesses[0], accesses[1]);
-  // 32 ns reads at 2^57 bound the per-comparison error; over this run the
-  // compensated clock stays within microseconds. The naive accumulator was
-  // off by milliseconds here.
-  EXPECT_NEAR(elapsed[0], elapsed[1], 1e-4);
+TEST(MachineDeathTest, AddVmRejectsBootAtOutsideTheClockDomain) {
+  // vCPU clocks are plain doubles with a stated domain: a VM booting at or
+  // past 2^48 ns is refused when it is added, before anything runs.
+  Machine machine(SmallHost());
+  VmSetup setup = SmallVm(PolicyKind::kStatic);
+  setup.boot_at = kVcpuClockLimitNs - 1;  // The domain's last nanosecond.
+  machine.AddVm(setup);
+  setup.boot_at = kVcpuClockLimitNs;
+  EXPECT_DEATH(machine.AddVm(setup), "boot_at 281474976710656 ns is outside");
+}
+
+TEST(MachineDeathTest, AdmitVmRejectsBootOutsideTheClockDomain) {
+  // A mid-run admission is refused for an admission time past the domain
+  // as well as for a setup whose boot_at lies past it.
+  Machine machine(SmallHost());
+  machine.StartRun();
+  VmSetup setup = SmallVm(PolicyKind::kStatic);
+  EXPECT_DEATH(machine.AdmitVm(setup, kVcpuClockLimitNs),
+               "AdmitVm at 281474976710656 ns is outside");
+  setup.boot_at = kVcpuClockLimitNs;
+  EXPECT_DEATH(machine.AdmitVm(setup, 0), "boot_at 281474976710656 ns is outside");
 }
 
 TEST(Machine, TimelineGrowthCappedUnderPathologicalBucketing) {

@@ -1,80 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "src/sim/cpu_account.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/sim_clock.h"
 
 namespace demeter {
 namespace {
-
-TEST(SimClock, MatchesNaiveDoubleSumBelowThreshold) {
-  // Below the compensation threshold every read must be bit-identical to
-  // the plain double accumulator it replaced — pinned benchmark horizons
-  // all live here.
-  SimClock clock;
-  double naive = 0.0;
-  const double costs[] = {53.6, 1.0, 68.7, 0.3, 9000.0, 150.0, 2.5};
-  for (int i = 0; i < 100000; ++i) {
-    const double c = costs[i % 7];
-    clock += c;
-    naive += c;
-    ASSERT_EQ(clock.value(), naive);
-    ASSERT_EQ(clock.now(), static_cast<Nanos>(naive));
-  }
-}
-
-TEST(SimClock, CompensatesSubUlpCostsAtLongHorizons) {
-  // At 2^53 ns the double ulp is 1 ns: adding 0.25 ns to a naive double
-  // accumulator is a complete no-op, so virtual time stops advancing. The
-  // compensated clock keeps every lost fraction.
-  SimClock clock;
-  clock = 9007199254740992.0;  // 2^53.
-  const double naive_start = clock.value();
-  double naive = naive_start;
-  for (int i = 0; i < 8; ++i) {
-    clock += 0.25;
-    naive += 0.25;
-  }
-  EXPECT_EQ(naive, naive_start) << "naive sum should drop sub-ulp costs";
-  EXPECT_EQ(clock.value(), naive_start + 2.0);
-  EXPECT_EQ(clock.now(), static_cast<Nanos>(naive_start) + 2);
-}
-
-TEST(SimClock, SystematicRoundingBiasIsCompensated) {
-  // Repeatedly adding a constant that rounds the same way every time biases
-  // a naive sum systematically (not a random walk). Above the threshold the
-  // compensated value must stay within one ulp of the exact sum.
-  SimClock clock;
-  clock = SimClock::kCompensateAboveNs;  // 2^48: ulp is 0.03125 ns.
-  double naive = SimClock::kCompensateAboveNs;
-  const double cost = 53.6;  // Not representable: every add rounds.
-  const int n = 2000000;
-  for (int i = 0; i < n; ++i) {
-    clock += cost;
-    naive += cost;
-  }
-  const long double exact = static_cast<long double>(SimClock::kCompensateAboveNs) +
-                            static_cast<long double>(cost) * n;
-  const double compensated_err = std::abs(static_cast<double>(clock.value() - exact));
-  const double naive_err = std::abs(static_cast<double>(naive - exact));
-  EXPECT_LE(compensated_err, 0.04);  // Within ~1 ulp of 2^48.
-  EXPECT_GT(naive_err, compensated_err);
-}
-
-TEST(SimClock, ReassignmentResetsCompensation) {
-  SimClock clock;
-  clock = 9007199254740992.0;  // 2^53.
-  clock += 0.25;
-  EXPECT_GT(clock.lost(), 0.0);
-  clock = 100.0;  // Boot-time realignment.
-  EXPECT_EQ(clock.lost(), 0.0);
-  EXPECT_EQ(clock.value(), 100.0);
-  clock += 0.5;
-  EXPECT_EQ(clock.value(), 100.5);
-}
 
 TEST(EventQueue, FiresInTimeOrder) {
   EventQueue q;

@@ -110,32 +110,6 @@ TEST(HistogramMerge, SumSaturatesInsteadOfWrapping) {
 
 // ---- MetricRegistry ---------------------------------------------------------
 
-TEST(MetricRegistry, OwnedCounterGaugeDistribution) {
-  MetricRegistry registry;
-  uint64_t& c = registry.Counter("a/count");
-  double& g = registry.Gauge("a/level");
-  Histogram& d = registry.Distribution("a/latency");
-  c += 3;
-  g = 1.5;
-  d.Record(100);
-
-  // Get-or-create returns the same storage.
-  EXPECT_EQ(&registry.Counter("a/count"), &c);
-  registry.Counter("a/count") += 1;
-
-  const MetricSnapshot snap = registry.Snapshot();
-  EXPECT_EQ(snap.CounterValue("a/count"), 4u);
-  const MetricSample* level = snap.Find("a/level");
-  ASSERT_NE(level, nullptr);
-  EXPECT_EQ(level->kind, MetricKind::kGauge);
-  EXPECT_DOUBLE_EQ(level->gauge, 1.5);
-  const MetricSample* latency = snap.Find("a/latency");
-  ASSERT_NE(latency, nullptr);
-  EXPECT_EQ(latency->kind, MetricKind::kDistribution);
-  EXPECT_EQ(latency->distribution.count, 1u);
-  EXPECT_EQ(latency->distribution.min, 100u);
-}
-
 TEST(MetricRegistry, RegisteredViewsReadThrough) {
   MetricRegistry registry;
   uint64_t hits = 0;
@@ -163,11 +137,17 @@ TEST(MetricRegistry, SnapshotPrefixMatchesFilteredFullSnapshot) {
   // depends on this being O(subtree), not O(registry)); its output must be
   // byte-equivalent to the old snapshot-everything-then-filter route.
   MetricRegistry registry;
-  registry.Counter("vm1/transactions") = 5;
-  registry.Counter("vm10/transactions") = 7;  // Shares the "vm1" prefix.
-  registry.Counter("vm2/policy/promotions") = 3;
-  registry.Gauge("vm2/level") = 0.5;
-  registry.Distribution("vm2/lat").Record(42);
+  const uint64_t vm1_txns = 5;
+  const uint64_t vm10_txns = 7;
+  const uint64_t promotions = 3;
+  const double level = 0.5;
+  Histogram lat;
+  lat.Record(42);
+  registry.RegisterCounter("vm1/transactions", &vm1_txns);
+  registry.RegisterCounter("vm10/transactions", &vm10_txns);  // Shares the "vm1" prefix.
+  registry.RegisterCounter("vm2/policy/promotions", &promotions);
+  registry.RegisterGauge("vm2/level", &level);
+  registry.RegisterDistribution("vm2/lat", &lat);
 
   const MetricSnapshot direct = registry.SnapshotPrefix("vm2/", /*strip=*/true);
   const MetricSnapshot filtered = registry.Snapshot().FilterPrefix("vm2", true);
@@ -179,10 +159,10 @@ TEST(MetricRegistry, SnapshotPrefixMatchesFilteredFullSnapshot) {
 
 TEST(MetricRegistry, SnapshotIsNameSorted) {
   MetricRegistry registry;
-  registry.Counter("z");
-  registry.Counter("a/b");
-  registry.Counter("a");
-  registry.Counter("m");
+  const uint64_t zero = 0;
+  for (const char* name : {"z", "a/b", "a", "m"}) {
+    registry.RegisterCounter(name, &zero);
+  }
   const MetricSnapshot snap = registry.Snapshot();
   ASSERT_EQ(snap.size(), 4u);
   for (size_t i = 1; i < snap.size(); ++i) {
@@ -195,18 +175,20 @@ TEST(MetricScope, PrefixesCompose) {
   MetricScope root(&registry, "vm0");
   MetricScope tlb = root.Sub("tlb");
   EXPECT_EQ(tlb.Name("hits"), "vm0/tlb/hits");
-  tlb.Counter("hits") = 5;
+  const uint64_t hits = 5;
+  tlb.RegisterCounter("hits", &hits);
   EXPECT_EQ(registry.Snapshot().CounterValue("vm0/tlb/hits"), 5u);
 }
 
 TEST(MetricSnapshot, DiffSubtractsCountersSaturating) {
   MetricRegistry registry;
-  uint64_t& c = registry.Counter("ops");
-  registry.Gauge("level") = 3.0;
-  c = 10;
+  uint64_t c = 10;
+  double level = 3.0;
+  registry.RegisterCounter("ops", &c);
+  registry.RegisterGauge("level", &level);
   const MetricSnapshot before = registry.Snapshot();
   c = 25;
-  registry.Gauge("level") = 9.0;
+  level = 9.0;
   const MetricSnapshot after = registry.Snapshot();
 
   const MetricSnapshot diff = after.Diff(before);
@@ -221,10 +203,11 @@ TEST(MetricSnapshot, DiffSubtractsCountersSaturating) {
 
 TEST(MetricSnapshot, FilterPrefixStrips) {
   MetricRegistry registry;
-  registry.Counter("vm0/tlb/hits") = 1;
-  registry.Counter("vm0/stats/ops") = 2;
-  registry.Counter("vm1/tlb/hits") = 3;
-  registry.Counter("host/populates") = 4;
+  const uint64_t values[] = {1, 2, 3, 4};
+  registry.RegisterCounter("vm0/tlb/hits", &values[0]);
+  registry.RegisterCounter("vm0/stats/ops", &values[1]);
+  registry.RegisterCounter("vm1/tlb/hits", &values[2]);
+  registry.RegisterCounter("host/populates", &values[3]);
 
   const MetricSnapshot vm0 = registry.Snapshot().FilterPrefix("vm0/", /*strip=*/true);
   EXPECT_EQ(vm0.size(), 2u);
@@ -235,11 +218,14 @@ TEST(MetricSnapshot, FilterPrefixStrips) {
 
 TEST(MetricSnapshot, JsonIsStableAndTyped) {
   MetricRegistry registry;
-  registry.Counter("b/count") = 2;
-  registry.Gauge("a/level") = 0.5;
-  Histogram& h = registry.Distribution("c/lat");
+  const uint64_t count = 2;
+  const double level = 0.5;
+  Histogram h;
   h.Record(10);
   h.Record(1000);
+  registry.RegisterCounter("b/count", &count);
+  registry.RegisterGauge("a/level", &level);
+  registry.RegisterDistribution("c/lat", &h);
 
   const std::string json = registry.Snapshot().ToJson();
   // Name-sorted keys; counters as integers, gauges as floats, distributions

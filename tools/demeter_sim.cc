@@ -151,7 +151,6 @@ int Run(int argc, char** argv) {
     // SMEM also fills: add the far swap tier and arm the spill scheduler.
     host.tiers.push_back(TierSpec::Zswap(options.vm_mib * kMiB * n));
     host.overcommit.enabled = true;
-    host.overcommit.ratio = options.overcommit;
   }
   Machine machine(host);
   for (int v = 0; v < options.vms; ++v) {
