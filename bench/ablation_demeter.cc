@@ -17,10 +17,11 @@
 //   coarse-16M        — split floor raised to 16 MiB: cheap but blunt
 
 #include <cstdio>
-#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/common.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
@@ -73,30 +74,31 @@ const Variant kVariants[] = {
 };
 
 int Run(int argc, char** argv) {
-  const BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kDirect);
+  const BenchScale scale = BenchScale::FromArgs(argc, argv);
   std::printf("Ablation: Demeter design decisions (elapsed seconds; lower is better)\n\n");
   TablePrinter table({"variant", "xsbench-s", "gups-s", "gups-promoted", "gups-mgmt-cores"});
 
+  std::vector<ExperimentSpec> specs;
   for (const Variant& variant : kVariants) {
-    double elapsed[2];
-    uint64_t promoted = 0;
-    double cores = 0.0;
-    const char* workloads[2] = {"xsbench", "gups"};
-    for (int w = 0; w < 2; ++w) {
-      Machine machine(HostFor(scale, 1));
-      VmSetup setup = SetupFor(scale, workloads[w], PolicyKind::kDemeter);
-      setup.demeter = variant.make(scale);
-      machine.AddVm(setup);
-      machine.Run();
-      elapsed[w] = machine.result(0).elapsed_s;
-      if (w == 1) {
-        promoted = machine.result(0).vm_stats.pages_promoted;
-        cores = machine.result(0).MgmtCores();
-      }
+    for (const char* workload : {"xsbench", "gups"}) {
+      ExperimentSpec spec = SpecFor(scale, workload, PolicyKind::kDemeter, 1);
+      spec.name = std::string(workload) + "/" + variant.name;
+      spec.tag = variant.name;
+      spec.vms[0].demeter = variant.make(scale);
+      specs.push_back(std::move(spec));
     }
-    table.AddRow({variant.name, TablePrinter::Fmt(elapsed[0], 3),
-                  TablePrinter::Fmt(elapsed[1], 3), TablePrinter::Fmt(promoted),
-                  TablePrinter::Fmt(cores, 3)});
+  }
+  const std::vector<ExperimentResult> results = RunSpecs(scale, std::move(specs));
+  CheckAllOk(results);
+
+  size_t next = 0;
+  for (const Variant& variant : kVariants) {
+    const VmRunResult& xsbench = results[next++].vms[0];
+    const VmRunResult& gups = results[next++].vms[0];
+    table.AddRow({variant.name, TablePrinter::Fmt(xsbench.elapsed_s, 3),
+                  TablePrinter::Fmt(gups.elapsed_s, 3),
+                  TablePrinter::Fmt(gups.vm_stats.pages_promoted),
+                  TablePrinter::Fmt(gups.MgmtCores(), 3)});
   }
   table.Print();
   std::printf(

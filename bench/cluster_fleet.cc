@@ -22,14 +22,14 @@
 // to avoid silently mixing two schedules.
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "bench/common.h"
-#include "src/base/logging.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
@@ -42,30 +42,6 @@ struct FaultLevel {
 constexpr FaultLevel kLevels[] = {
     {"none", false},
     {"evac", true},
-};
-
-struct PolicyVariant {
-  const char* name;
-  PolicyKind kind;
-  ProvisionMode provision;
-  bool degradation = true;  // Only meaningful for Demeter.
-};
-
-// The same seven variants as the single-host resilience sweeps, so fleet
-// numbers line up with elasticity_churn's per-host ones.
-constexpr PolicyVariant kPolicies[] = {
-    {"demeter", PolicyKind::kDemeter, ProvisionMode::kDemeterBalloon, true},
-    {"demeter-nofb", PolicyKind::kDemeter, ProvisionMode::kDemeterBalloon, false},
-    {"tpp", PolicyKind::kTpp, ProvisionMode::kStatic},
-    {"tpp-h", PolicyKind::kHTpp, ProvisionMode::kStatic},
-    {"memtis", PolicyKind::kMemtis, ProvisionMode::kVirtioBalloon},
-    {"nomad", PolicyKind::kNomad, ProvisionMode::kStatic},
-    {"damon", PolicyKind::kDamon, ProvisionMode::kHotplug},
-};
-
-struct Fleet {
-  int vms = 32;
-  int hosts = 4;
 };
 
 // Alternating hosts lose 30% of FMEM for 6 ms of every 20 ms: with the
@@ -108,20 +84,14 @@ ExperimentSpec FleetSpecFor(const BenchScale& scale, const Fleet& fleet,
   spec.cluster.migration.stop_copy_pages = 512;
   spec.cluster.migration.max_precopy_rounds = 2;
   if (level.evac) {
-    std::string error;
-    const std::optional<FaultPlan> migrate = FaultPlan::Parse(MigrateFailSpec(fleet.hosts), &error);
-    DEMETER_CHECK(migrate.has_value()) << error;
-    const std::optional<FaultPlan> shrink = FaultPlan::Parse(kShrinkSpec, &error);
-    DEMETER_CHECK(shrink.has_value()) << error;
     // Shared plan: the cluster-level migratefail injector. Per-host plans:
     // even hosts shrink, odd hosts stay healthy (the evacuation targets).
-    spec.config.faults = *migrate;
-    spec.cluster.host_faults = {*shrink, FaultPlan{}};
+    spec.config.faults = BuiltInFaults(MigrateFailSpec(fleet.hosts));
+    spec.cluster.host_faults = {BuiltInFaults(kShrinkSpec), FaultPlan{}};
   }
   for (int v = 0; v < fleet.vms; ++v) {
     VmSetup setup = SetupFor(scale, "silo", variant.kind);
-    setup.provision = variant.provision;
-    setup.demeter.degradation.enabled = variant.degradation;
+    variant.ApplyTo(setup);
     // A quarter of the fleet arrives late, staggered a barrier apart, so
     // deferred placement decides against a live (and, under "evac",
     // shrinking) load picture rather than an empty fleet.
@@ -134,85 +104,39 @@ ExperimentSpec FleetSpecFor(const BenchScale& scale, const Fleet& fleet,
 }
 
 int Run(int argc, char** argv) {
-  // Fleet-specific flags come out of argv before the shared parser sees
-  // them (it rejects unknown flags with exit(2)).
-  Fleet fleet;
-  bool fleet_flag = false;
   PlacementPolicy placement = PlacementPolicy::kFirstFit;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  bool smoke = false;
-  bool full = false;
-  for (int i = 1; i < argc; ++i) {
-    char* arg = argv[i];
-    if (std::strncmp(arg, "--fleet=", 8) == 0) {
-      int vms = 0;
-      int hosts = 0;
-      if (std::sscanf(arg + 8, "%dx%d", &vms, &hosts) != 2 || vms < 1 || hosts < 1 ||
-          vms % hosts != 0) {
-        std::fprintf(stderr, "%s: --fleet needs VxH with V a multiple of H, got '%s'\n",
-                     argv[0], arg + 8);
-        return 2;
-      }
-      fleet = Fleet{vms, hosts};
-      fleet_flag = true;
-    } else if (std::strncmp(arg, "--placement=", 12) == 0) {
-      const std::string name = arg + 12;
-      if (name != "first-fit" && name != "best-fit" && name != "spread") {
-        std::fprintf(stderr, "%s: --placement needs first-fit|best-fit|spread, got '%s'\n",
-                     argv[0], name.c_str());
-        return 2;
-      }
-      placement = PlacementPolicyFromName(name);
-    } else {
-      if (std::strcmp(arg, "--smoke") == 0) {
-        smoke = true;
-      } else if (std::strcmp(arg, "--full") == 0) {
-        full = true;
-      }
-      passthrough.push_back(arg);
-    }
-  }
-  BenchScale scale = BenchScale::FromArgs(static_cast<int>(passthrough.size()),
-                                          passthrough.data());
-  if (!scale.faults.empty()) {
-    std::fprintf(stderr, "%s: this bench owns its fault schedule; drop --faults\n", argv[0]);
-    return 2;
-  }
-  if (!fleet_flag) {
-    fleet = smoke ? Fleet{8, 2} : full ? Fleet{128, 8} : Fleet{32, 4};
-  }
-  // In this bench --smoke/--full size the FLEET (hosts × VMs); per-VM work
-  // stays CI-sized so the fleet dimension is what grows. The shared --full
-  // meaning (128 MiB VMs, 2M transactions each) would run a 128-VM fleet
-  // for hours without exercising anything the small VMs don't.
-  scale.vm_bytes = smoke ? 8 * kMiB : 16 * kMiB;
-  scale.transactions = smoke ? 20000 : 50000;
-  scale.vcpus = 2;
-  // Span several shrink windows per run — an evacuation needs its source VM
-  // alive for a few barriers after the window opens.
-  scale.transactions *= 2;
+  const auto [scale, fleet] = FleetScaleFromArgs(
+      argc, argv, /*smoke=*/{8, 2}, /*normal=*/{32, 4}, /*full=*/{128, 8}, /*even_hosts=*/false,
+      [&](const char* arg) {
+        if (std::strncmp(arg, "--placement=", 12) != 0) {
+          return false;
+        }
+        const std::string name = arg + 12;
+        if (name != "first-fit" && name != "best-fit" && name != "spread") {
+          std::fprintf(stderr, "%s: --placement needs first-fit|best-fit|spread, got '%s'\n",
+                       argv[0], name.c_str());
+          std::exit(2);
+        }
+        placement = PlacementPolicyFromName(name);
+        return true;
+      });
 
   const size_t num_levels = sizeof(kLevels) / sizeof(kLevels[0]);
-  const size_t num_policies = sizeof(kPolicies) / sizeof(kPolicies[0]);
+  const size_t num_policies = std::size(kPolicyVariants);
   std::printf("Cluster fleet: %zu policies x %zu fault levels, %d VMs on %d hosts, "
               "%s placement (%zu experiments)\n\n",
               num_policies, num_levels, fleet.vms, fleet.hosts,
               PlacementPolicyName(placement), num_policies * num_levels);
 
-  ExperimentRunner runner(RunnerOptionsFor(scale));
+  std::vector<ExperimentSpec> specs;
   for (const FaultLevel& level : kLevels) {
-    for (const PolicyVariant& variant : kPolicies) {
-      runner.Submit(FleetSpecFor(scale, fleet, variant, level, placement));
+    for (const PolicyVariant& variant : kPolicyVariants) {
+      specs.push_back(FleetSpecFor(scale, fleet, variant, level, placement));
     }
   }
-  const std::vector<ExperimentResult> results = runner.RunAll();
-
+  const std::vector<ExperimentResult> results = RunSpecs(scale, std::move(specs));
   TableSink table;
-  for (const ExperimentResult& result : results) {
-    table.Consume(result);
-  }
-  table.Finish();
+  EmitResults(results, {&table});
 
   // Headline: fleet throughput retention under the evac schedule relative
   // to the same policy's own fault-free fleet run.
@@ -228,9 +152,9 @@ int Run(int argc, char** argv) {
         }
       }
     }
-    std::printf("  %-14s %12.0f %12.0f %9.1f%%\n", kPolicies[p].name, tps[0], tps[1],
+    std::printf("  %-14s %12.0f %12.0f %9.1f%%\n", kPolicyVariants[p].name, tps[0], tps[1],
                 tps[0] > 0.0 ? 100.0 * tps[1] / tps[0] : 0.0);
-    DEMETER_CHECK(tps[0] > 0.0) << kPolicies[p].name << ": fault-free fleet produced no work";
+    DEMETER_CHECK(tps[0] > 0.0) << kPolicyVariants[p].name << ": fault-free fleet produced no work";
   }
 
   // Migration ledger: the evac schedule must actually drive evacuations,
@@ -241,7 +165,7 @@ int Run(int argc, char** argv) {
   for (size_t p = 0; p < num_policies; ++p) {
     const ExperimentResult& result = results[1 * num_policies + p];
     if (!result.ok) {
-      std::printf("  %-14s FAILED: %s\n", kPolicies[p].name, result.error.c_str());
+      std::printf("  %-14s FAILED: %s\n", kPolicyVariants[p].name, result.error.c_str());
       continue;
     }
     const MetricSnapshot& host = result.host_metrics;
@@ -249,7 +173,7 @@ int Run(int argc, char** argv) {
     const uint64_t completed = host.CounterValue("cluster/migration/completed");
     const uint64_t aborted = host.CounterValue("cluster/migration/aborted");
     const uint64_t cancelled = host.CounterValue("cluster/migration/cancelled");
-    std::printf("  %-14s %8llu %9llu %8llu %9llu %11llu %12.2f\n", kPolicies[p].name,
+    std::printf("  %-14s %8llu %9llu %8llu %9llu %11llu %12.2f\n", kPolicyVariants[p].name,
                 static_cast<unsigned long long>(started),
                 static_cast<unsigned long long>(completed),
                 static_cast<unsigned long long>(aborted),
@@ -258,12 +182,12 @@ int Run(int argc, char** argv) {
                     host.CounterValue("cluster/migration/pages_copied")),
                 static_cast<double>(host.CounterValue("cluster/migration/downtime_ns_total")) /
                     1e6);
-    DEMETER_CHECK(started >= 1) << kPolicies[p].name
+    DEMETER_CHECK(started >= 1) << kPolicyVariants[p].name
                                 << ": the shrink schedule never drove an evacuation";
     // The fleet drains only when no migration is in flight, so every start
     // resolved one way exactly.
     DEMETER_CHECK(started == completed + aborted + cancelled)
-        << kPolicies[p].name << ": unresolved migrations at end of run";
+        << kPolicyVariants[p].name << ": unresolved migrations at end of run";
     // Every arrival must be accounted by a VM-side migrated_in counter.
     // Sum over every slot in the fleet snapshot, not just final locations:
     // a VM evacuated twice leaves its first arrival on an intermediate
@@ -277,7 +201,7 @@ int Run(int argc, char** argv) {
       }
     }
     DEMETER_CHECK(arrivals == completed)
-        << kPolicies[p].name << ": " << completed << " completed migrations but " << arrivals
+        << kPolicyVariants[p].name << ": " << completed << " completed migrations but " << arrivals
         << " VM arrivals";
   }
 
@@ -293,9 +217,6 @@ int Run(int argc, char** argv) {
           << result.spec.name << " vm " << v << " fell short of its target";
     }
   }
-
-  MaybeWriteJsonl(scale, results);
-  MaybeWriteTrace(scale, results);
   return 0;
 }
 

@@ -28,8 +28,6 @@
 #endif
 
 #include "bench/common.h"
-#include "src/base/logging.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
@@ -97,6 +95,7 @@ int Run(int argc, char** argv) {
     malloc_trim(0);
 #endif
     const double bw_scale = static_cast<double>(vms) / static_cast<double>(counts[0]);
+    // One runner per count, run in turn, so each wall time is one count's.
     ExperimentRunner runner(RunnerOptionsFor(scale));
     runner.Submit(DenseSpec(scale, vms, transactions, bw_scale));
     const auto start = std::chrono::steady_clock::now();
@@ -110,11 +109,9 @@ int Run(int argc, char** argv) {
     results.push_back(std::move(run[0]));
   }
 
+  WriteOutputs(scale, results);
   TableSink table;
-  for (const ExperimentResult& result : results) {
-    table.Consume(result);
-  }
-  table.Finish();
+  EmitResults(results, {&table});
 
   std::printf("\nScaling (aggregate throughput vs tenant count):\n");
   std::printf("  %6s %12s %12s\n", "vms", "agg_tps", "mean_tps/vm");
@@ -136,9 +133,6 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "  %6d %10.2f %12s\n", counts[c], wall, "-");
     }
   }
-
-  MaybeWriteJsonl(scale, results);
-  MaybeWriteTrace(scale, results);
   return 0;
 }
 

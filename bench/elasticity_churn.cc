@@ -17,12 +17,11 @@
 // here to avoid silently mixing two schedules.
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
-#include "src/base/logging.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
@@ -48,58 +47,31 @@ constexpr FaultLevel kLevels[] = {
 
 constexpr Nanos kEpoch = 2 * kMillisecond;
 
-struct PolicyVariant {
-  const char* name;
-  PolicyKind kind;
-  ProvisionMode provision;
-  bool degradation = true;  // Only meaningful for Demeter.
-};
-
-// Each policy keeps its natural provisioning path so the churn (departure
-// reclaim + deferred boot) exercises every provisioner kind.
-constexpr PolicyVariant kPolicies[] = {
-    {"demeter", PolicyKind::kDemeter, ProvisionMode::kDemeterBalloon, true},
-    {"demeter-nofb", PolicyKind::kDemeter, ProvisionMode::kDemeterBalloon, false},
-    {"tpp", PolicyKind::kTpp, ProvisionMode::kStatic},
-    {"tpp-h", PolicyKind::kHTpp, ProvisionMode::kStatic},
-    {"memtis", PolicyKind::kMemtis, ProvisionMode::kVirtioBalloon},
-    {"nomad", PolicyKind::kNomad, ProvisionMode::kStatic},
-    {"damon", PolicyKind::kDamon, ProvisionMode::kHotplug},
-};
-
 int Run(int argc, char** argv) {
-  BenchScale scale = BenchScale::FromArgs(argc, argv);
-  if (!scale.faults.empty()) {
-    std::fprintf(stderr, "%s: this bench owns its fault schedule; drop --faults\n", argv[0]);
-    return 2;
-  }
+  BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kRunner, /*owns_faults=*/true);
   // Span many shrink and crash windows per run.
   scale.transactions *= 2;
   scale.demeter_epoch = kEpoch;
   const size_t num_levels = sizeof(kLevels) / sizeof(kLevels[0]);
-  const size_t num_policies = sizeof(kPolicies) / sizeof(kPolicies[0]);
+  const size_t num_policies = std::size(kPolicyVariants);
   constexpr int kVms = 3;
 
   std::printf("Elasticity churn: %zu policies x %zu fault levels, %d VMs with "
               "mid-run departure + deferred boot (%zu experiments)\n\n",
               num_policies, num_levels, kVms, num_policies * num_levels);
 
-  ExperimentRunner runner(RunnerOptionsFor(scale));
+  std::vector<ExperimentSpec> specs;
   for (const FaultLevel& level : kLevels) {
-    std::string error;
-    const std::optional<FaultPlan> plan = FaultPlan::Parse(level.spec, &error);
-    DEMETER_CHECK(plan.has_value()) << "bad built-in fault spec '" << level.spec
-                                    << "': " << error;
-    for (const PolicyVariant& variant : kPolicies) {
+    const FaultPlan plan = BuiltInFaults(level.spec);
+    for (const PolicyVariant& variant : kPolicyVariants) {
       // silo: drifting hotspot, so both a departed VM's reclaimed FMEM and
       // a late joiner's cold start matter to the survivors' placement.
       ExperimentSpec spec = SpecFor(scale, "silo", variant.kind, kVms, SmemKind::kPmem);
       spec.name = std::string("silo/") + variant.name + "/" + level.name;
       spec.tag = level.name;
-      spec.config.faults = *plan;
+      spec.config.faults = plan;
       for (VmSetup& setup : spec.vms) {
-        setup.provision = variant.provision;
-        setup.demeter.degradation.enabled = variant.degradation;
+        variant.ApplyTo(setup);
         // Degrade only on real outages: the threshold sits far below the
         // 90 ms crash windows but above transient scheduling hiccups (see
         // fault_resilience.cc for the tuning rationale; here outages and
@@ -116,16 +88,12 @@ int Run(int argc, char** argv) {
       spec.vms[1].depart_on_finish = true;
       spec.vms[2].boot_at = 30 * kMillisecond;
       spec.vms[2].target_transactions = (scale.transactions * 3) / 4;
-      runner.Submit(spec);
+      specs.push_back(std::move(spec));
     }
   }
-  const std::vector<ExperimentResult> results = runner.RunAll();
-
+  const std::vector<ExperimentResult> results = RunSpecs(scale, std::move(specs));
   TableSink table;
-  for (const ExperimentResult& result : results) {
-    table.Consume(result);
-  }
-  table.Finish();
+  EmitResults(results, {&table});
 
   // Headline: throughput retention under the elastic schedule relative to
   // the same policy's own fault-free churn run.
@@ -141,7 +109,7 @@ int Run(int argc, char** argv) {
         }
       }
     }
-    std::printf("  %-14s %10.0f %10.0f %9.1f%%\n", kPolicies[p].name, tps[0], tps[1],
+    std::printf("  %-14s %10.0f %10.0f %9.1f%%\n", kPolicyVariants[p].name, tps[0], tps[1],
                 tps[0] > 0.0 ? 100.0 * tps[1] / tps[0] : 0.0);
   }
 
@@ -154,13 +122,13 @@ int Run(int argc, char** argv) {
   for (size_t p = 0; p < num_policies; ++p) {
     const ExperimentResult& result = results[1 * num_policies + p];
     if (!result.ok) {
-      std::printf("  %-14s FAILED: %s\n", kPolicies[p].name, result.error.c_str());
+      std::printf("  %-14s FAILED: %s\n", kPolicyVariants[p].name, result.error.c_str());
       continue;
     }
     const MetricSnapshot& host = result.host_metrics;
     DEMETER_CHECK(host.CounterValue("poison/bad_destination") == 0)
-        << kPolicies[p].name << ": poisoned frame selected as migration destination";
-    std::printf("  %-14s %8llu %8llu %8llu %8llu %9llu %9llu %9llu\n", kPolicies[p].name,
+        << kPolicyVariants[p].name << ": poisoned frame selected as migration destination";
+    std::printf("  %-14s %8llu %8llu %8llu %8llu %9llu %9llu %9llu\n", kPolicyVariants[p].name,
                 static_cast<unsigned long long>(host.CounterValue("poison/events")),
                 static_cast<unsigned long long>(host.CounterValue("poison/clean_recoveries")),
                 static_cast<unsigned long long>(host.CounterValue("poison/sigbus_deliveries")),
@@ -193,9 +161,6 @@ int Run(int argc, char** argv) {
           << result.spec.name << ": every VM must boot exactly once";
     }
   }
-
-  MaybeWriteJsonl(scale, results);
-  MaybeWriteTrace(scale, results);
   return 0;
 }
 

@@ -19,8 +19,6 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "src/base/logging.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
@@ -48,26 +46,17 @@ constexpr FaultLevel kLevels[] = {
 // below, where the tuning rationale lives.
 constexpr Nanos kEpoch = 2 * kMillisecond;
 
-struct PolicyVariant {
-  const char* name;
-  PolicyKind kind;
-  bool degradation = true;  // Only meaningful for Demeter.
-};
-
+// Every VM boots through the Demeter double balloon, whatever its policy.
 constexpr PolicyVariant kPolicies[] = {
-    {"demeter", PolicyKind::kDemeter, true},
-    {"demeter-nofb", PolicyKind::kDemeter, false},
-    {"tpp", PolicyKind::kTpp, true},
-    {"memtis", PolicyKind::kMemtis, true},
-    {"nomad", PolicyKind::kNomad, true},
+    {"demeter", PolicyKind::kDemeter, ProvisionMode::kDemeterBalloon, true},
+    {"demeter-nofb", PolicyKind::kDemeter, ProvisionMode::kDemeterBalloon, false},
+    {"tpp", PolicyKind::kTpp, ProvisionMode::kDemeterBalloon},
+    {"memtis", PolicyKind::kMemtis, ProvisionMode::kDemeterBalloon},
+    {"nomad", PolicyKind::kNomad, ProvisionMode::kDemeterBalloon},
 };
 
 int Run(int argc, char** argv) {
-  BenchScale scale = BenchScale::FromArgs(argc, argv);
-  if (!scale.faults.empty()) {
-    std::fprintf(stderr, "%s: this bench sweeps its own fault levels; drop --faults\n", argv[0]);
-    return 2;
-  }
+  BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kRunner, /*owns_faults=*/true);
   // Longer runs than the other benches: each run must span many stall and
   // crash windows for degradation/recovery cycles to show up.
   scale.transactions *= 2;
@@ -81,12 +70,9 @@ int Run(int argc, char** argv) {
               num_levels, num_policies, smem_kinds.size(),
               num_levels * num_policies * smem_kinds.size());
 
-  ExperimentRunner runner(RunnerOptionsFor(scale));
+  std::vector<ExperimentSpec> specs;
   for (const FaultLevel& level : kLevels) {
-    std::string error;
-    const std::optional<FaultPlan> plan = FaultPlan::Parse(level.spec, &error);
-    DEMETER_CHECK(plan.has_value()) << "bad built-in fault spec '" << level.spec
-                                    << "': " << error;
+    const FaultPlan plan = BuiltInFaults(level.spec);
     for (SmemKind smem : smem_kinds) {
       for (const PolicyVariant& variant : kPolicies) {
         // silo: YCSB with a drifting hotspot, so a guest engine that loses
@@ -96,10 +82,9 @@ int Run(int argc, char** argv) {
         spec.name = std::string("silo/") + variant.name + "/" + SmemKindName(smem) + "/" +
                     level.name;
         spec.tag = level.name;
-        spec.config.faults = *plan;
+        spec.config.faults = plan;
         for (VmSetup& setup : spec.vms) {
-          setup.provision = ProvisionMode::kDemeterBalloon;
-          setup.demeter.degradation.enabled = variant.degradation;
+          variant.ApplyTo(setup);
           // Degrade only on real outages: the threshold sits above the
           // 10 ms stall windows (transient hiccups the guest absorbs on
           // its own) but far below the 450 ms crash windows. Degrading on
@@ -118,17 +103,13 @@ int Run(int argc, char** argv) {
           // congests the slow tier the workload is reading from.
           setup.demeter.degradation.host_batch_pages = 64;
         }
-        runner.Submit(spec);
+        specs.push_back(std::move(spec));
       }
     }
   }
-  const std::vector<ExperimentResult> results = runner.RunAll();
-
+  const std::vector<ExperimentResult> results = RunSpecs(scale, std::move(specs));
   TableSink table;
-  for (const ExperimentResult& result : results) {
-    table.Consume(result);
-  }
-  table.Finish();
+  EmitResults(results, {&table});
 
   // Headline: per (policy, tier), throughput retention at each fault level
   // relative to that policy's own fault-free run, plus Demeter's recovery
@@ -192,9 +173,6 @@ int Run(int argc, char** argv) {
       }
     }
   }
-
-  MaybeWriteJsonl(scale, results);
-  MaybeWriteTrace(scale, results);
   return 0;
 }
 

@@ -6,33 +6,35 @@
 // that inflate the tail under the other designs.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/common.h"
 #include "src/base/histogram.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
 
 int Run(int argc, char** argv) {
-  const BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kDirect);
+  const BenchScale scale = BenchScale::FromArgs(argc, argv);
   std::printf("Figure 12: Silo YCSB latency percentiles (microseconds, %d VMs)\n\n",
               scale.concurrent_vms);
   TablePrinter table({"design", "p50", "p90", "p95", "p99", "mean"});
 
+  std::vector<ExperimentSpec> specs;
   for (PolicyKind policy : {PolicyKind::kStatic, PolicyKind::kTpp, PolicyKind::kMemtis,
                             PolicyKind::kNomad, PolicyKind::kDemeter}) {
-    Machine machine(HostFor(scale, scale.concurrent_vms));
-    for (int v = 0; v < scale.concurrent_vms; ++v) {
-      machine.AddVm(SetupFor(scale, "silo", policy));
-    }
-    machine.Run();
+    specs.push_back(SpecFor(scale, "silo", policy, scale.concurrent_vms));
+  }
+  const std::vector<ExperimentResult> results = RunSpecs(scale, std::move(specs));
+  CheckAllOk(results);
+
+  for (const ExperimentResult& result : results) {
     Histogram merged;
-    for (int v = 0; v < machine.num_vms(); ++v) {
-      merged.Merge(machine.result(v).txn_latency_ns);
+    for (const VmRunResult& vm : result.vms) {
+      merged.Merge(vm.txn_latency_ns);
     }
     auto us = [&](double p) { return static_cast<double>(merged.Percentile(p)) / 1000.0; };
-    table.AddRow({PolicyKindName(policy), TablePrinter::Fmt(us(50), 2),
+    table.AddRow({PolicyKindName(result.spec.vms[0].policy), TablePrinter::Fmt(us(50), 2),
                   TablePrinter::Fmt(us(90), 2), TablePrinter::Fmt(us(95), 2),
                   TablePrinter::Fmt(us(99), 2), TablePrinter::Fmt(merged.Mean() / 1000.0, 2)});
   }

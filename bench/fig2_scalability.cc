@@ -7,12 +7,11 @@
 // Demeter stays flat and low (<0.2 cores).
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
-#include "src/base/logging.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
@@ -29,7 +28,7 @@ int Run(int argc, char** argv) {
   const uint64_t total_footprint = base_scale.footprint() * 3;
 
   // All fifteen (vms, policy) points are independent simulations.
-  ExperimentRunner runner(RunnerOptionsFor(base_scale));
+  std::vector<ExperimentSpec> specs;
   for (int vms : kVmCounts) {
     for (PolicyKind policy : kPolicies) {
       BenchScale scale = base_scale;
@@ -50,27 +49,23 @@ int Run(int argc, char** argv) {
         setup.footprint_bytes = per_vm_footprint;
         spec.vms.push_back(setup);
       }
-      runner.Submit(spec);
+      specs.push_back(std::move(spec));
     }
   }
-  const std::vector<ExperimentResult> results = runner.RunAll();
+  const std::vector<ExperimentResult> results = RunSpecs(base_scale, std::move(specs));
+  CheckAllOk(results);
 
   size_t next = 0;
   for (int vms : kVmCounts) {
     std::vector<double> cores;
-    for (PolicyKind policy : kPolicies) {
-      (void)policy;
-      const ExperimentResult& result = results[next++];
-      DEMETER_CHECK(result.ok) << result.spec.name << ": " << result.error;
-      cores.push_back(result.TotalMgmtCores());
+    for (size_t p = 0; p < std::size(kPolicies); ++p) {
+      cores.push_back(results[next++].TotalMgmtCores());
     }
     table.AddRow({TablePrinter::Fmt(static_cast<uint64_t>(vms)), TablePrinter::Fmt(cores[0], 3),
                   TablePrinter::Fmt(cores[1], 3), TablePrinter::Fmt(cores[2], 3)});
   }
   table.Print();
   std::printf("\nExpected shape (paper): tpp >> memtis >> demeter, with demeter flat.\n");
-  MaybeWriteJsonl(base_scale, results);
-  MaybeWriteTrace(base_scale, results);
   return 0;
 }
 

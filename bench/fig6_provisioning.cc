@@ -9,41 +9,55 @@
 // only approximate the target in coarse blocks.
 
 #include <cstdio>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "bench/common.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
 
-double Throughput(const BenchScale& base, ProvisionMode mode, PolicyKind policy) {
-  BenchScale scale = base;
-  scale.transactions *= 2;  // Long runs: provisioning effects in steady state.
-  Machine machine(HostFor(scale, scale.concurrent_vms));
-  for (int v = 0; v < scale.concurrent_vms; ++v) {
-    VmSetup setup = SetupFor(scale, "gups", policy);
-    setup.provision = mode;
-    machine.AddVm(setup);
-  }
-  machine.Run();
-  double total = 0.0;
-  for (int v = 0; v < machine.num_vms(); ++v) {
-    total += machine.result(v).ThroughputTps();
-  }
-  return total / machine.num_vms() / 1e6;  // Mega-updates/s per VM.
-}
+constexpr ProvisionMode kModes[] = {ProvisionMode::kStatic, ProvisionMode::kVirtioBalloon,
+                                    ProvisionMode::kDemeterBalloon, ProvisionMode::kHotplug};
+constexpr PolicyKind kPolicies[] = {PolicyKind::kStatic, PolicyKind::kTpp, PolicyKind::kDemeter};
 
 int Run(int argc, char** argv) {
-  const BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kDirect);
+  const BenchScale scale = BenchScale::FromArgs(argc, argv);
   std::printf("Figure 6: GUPS throughput by provisioning technique (M txn/s per VM, %d VMs)\n\n",
               scale.concurrent_vms);
   TablePrinter table({"provisioning", "static-policy", "tpp", "demeter"});
-  for (ProvisionMode mode : {ProvisionMode::kStatic, ProvisionMode::kVirtioBalloon,
-                             ProvisionMode::kDemeterBalloon, ProvisionMode::kHotplug}) {
-    table.AddRow({ProvisionModeName(mode),
-                  TablePrinter::Fmt(Throughput(scale, mode, PolicyKind::kStatic), 3),
-                  TablePrinter::Fmt(Throughput(scale, mode, PolicyKind::kTpp), 3),
-                  TablePrinter::Fmt(Throughput(scale, mode, PolicyKind::kDemeter), 3)});
+
+  std::vector<ExperimentSpec> specs;
+  for (ProvisionMode mode : kModes) {
+    for (PolicyKind policy : kPolicies) {
+      ExperimentSpec spec = SpecFor(scale, "gups", policy, scale.concurrent_vms);
+      spec.name = std::string(ProvisionModeName(mode)) + "/" + PolicyKindName(policy);
+      spec.tag = ProvisionModeName(mode);
+      for (VmSetup& setup : spec.vms) {
+        setup.provision = mode;
+        setup.target_transactions *= 2;  // Long runs: provisioning effects in steady state.
+      }
+      specs.push_back(std::move(spec));
+    }
+  }
+  const std::vector<ExperimentResult> results = RunSpecs(scale, std::move(specs));
+  CheckAllOk(results);
+
+  size_t next = 0;
+  for (ProvisionMode mode : kModes) {
+    std::vector<std::string> row = {ProvisionModeName(mode)};
+    for (size_t p = 0; p < std::size(kPolicies); ++p) {
+      const ExperimentResult& result = results[next++];
+      double total = 0.0;
+      for (const VmRunResult& vm : result.vms) {
+        total += vm.ThroughputTps();
+      }
+      // Mega-updates/s per VM.
+      row.push_back(
+          TablePrinter::Fmt(total / static_cast<double>(result.vms.size()) / 1e6, 3));
+    }
+    table.AddRow(row);
   }
   table.Print();
   std::printf(

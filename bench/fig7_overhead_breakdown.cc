@@ -9,41 +9,43 @@
 // data (reflected in its longer run time, not in this table).
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/common.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
 
 int Run(int argc, char** argv) {
-  const BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kDirect);
+  const BenchScale scale = BenchScale::FromArgs(argc, argv);
   std::printf("Figure 7: TMM overhead breakdown (CPU seconds, %d VMs, GUPS)\n\n",
               scale.concurrent_vms);
   TablePrinter table(
       {"design", "tracking", "classification", "migration", "pmi", "total", "elapsed-s",
        "promoted-pages"});
 
+  std::vector<ExperimentSpec> specs;
   for (PolicyKind policy :
        {PolicyKind::kTpp, PolicyKind::kNomad, PolicyKind::kMemtis, PolicyKind::kDemeter}) {
-    Machine machine(HostFor(scale, scale.concurrent_vms));
-    for (int v = 0; v < scale.concurrent_vms; ++v) {
-      machine.AddVm(SetupFor(scale, "gups", policy));
-    }
-    machine.Run();
+    specs.push_back(SpecFor(scale, "gups", policy, scale.concurrent_vms));
+  }
+  const std::vector<ExperimentResult> results = RunSpecs(scale, std::move(specs));
+  CheckAllOk(results);
+
+  for (const ExperimentResult& result : results) {
     CpuAccount total;
     uint64_t promoted = 0;
-    for (int v = 0; v < machine.num_vms(); ++v) {
-      total.Merge(machine.result(v).mgmt);
-      promoted += machine.result(v).vm_stats.pages_promoted;
+    for (const VmRunResult& vm : result.vms) {
+      total.Merge(vm.mgmt);
+      promoted += vm.vm_stats.pages_promoted;
     }
-    table.AddRow({PolicyKindName(policy),
+    table.AddRow({PolicyKindName(result.spec.vms[0].policy),
                   TablePrinter::Fmt(ToSeconds(total.ForStage(TmmStage::kTracking)), 4),
                   TablePrinter::Fmt(ToSeconds(total.ForStage(TmmStage::kClassification)), 4),
                   TablePrinter::Fmt(ToSeconds(total.ForStage(TmmStage::kMigration)), 4),
                   TablePrinter::Fmt(ToSeconds(total.ForStage(TmmStage::kPmi)), 4),
                   TablePrinter::Fmt(ToSeconds(total.Total()), 4),
-                  TablePrinter::Fmt(machine.MeanElapsedSeconds(), 3),
+                  TablePrinter::Fmt(result.MeanElapsedSeconds(), 3),
                   TablePrinter::Fmt(promoted)});
   }
   table.Print();

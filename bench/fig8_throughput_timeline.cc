@@ -15,25 +15,29 @@ namespace demeter {
 namespace {
 
 int Run(int argc, char** argv) {
-  BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kDirect);
+  BenchScale scale = BenchScale::FromArgs(argc, argv);
   scale.transactions *= 2;  // Longer run: show ramp, dip, and plateau.
   std::printf("Figure 8: instantaneous GUPS throughput (M txn/s, LOESS-smoothed)\n\n");
 
-  std::vector<std::string> names;
-  std::vector<std::vector<double>> series;
+  std::vector<ExperimentSpec> specs;
   for (PolicyKind policy :
        {PolicyKind::kStatic, PolicyKind::kTpp, PolicyKind::kMemtis, PolicyKind::kNomad,
         PolicyKind::kDemeter}) {
-    Machine machine(HostFor(scale, 1));
-    machine.AddVm(SetupFor(scale, "gups", policy));
-    machine.Run();
-    const VmRunResult& result = machine.result(0);
+    specs.push_back(SpecFor(scale, "gups", policy, 1));
+  }
+  const std::vector<ExperimentResult> results = RunSpecs(scale, std::move(specs));
+  CheckAllOk(results);
+
+  std::vector<std::string> names;
+  std::vector<std::vector<double>> series;
+  for (const ExperimentResult& experiment : results) {
+    const VmRunResult& result = experiment.vms[0];
     std::vector<double> tput;
     for (uint64_t bucket : result.timeline) {
       tput.push_back(static_cast<double>(bucket) /
                      (static_cast<double>(result.timeline_bucket) * 1e-9) / 1e6);
     }
-    names.push_back(PolicyKindName(policy));
+    names.push_back(PolicyKindName(experiment.spec.vms[0].policy));
     series.push_back(LoessSmooth(tput, 2));
   }
 

@@ -26,14 +26,11 @@
 // rejected to avoid silently mixing two schedules.
 
 #include <cstdio>
-#include <cstring>
-#include <optional>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
-#include "src/base/logging.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
@@ -53,34 +50,10 @@ constexpr FaultLevel kLevels[] = {
 // counterfactual per placement policy is enough to price the pipeline.
 constexpr FaultLevel kAblation = {"hostfail-norec", true, false};
 
-struct PolicyVariant {
-  const char* name;
-  PolicyKind kind;
-  ProvisionMode provision;
-  bool degradation = true;  // Only meaningful for Demeter.
-};
-
-// The same seven variants as cluster_fleet, so availability numbers line
-// up with that bench's evacuation ones.
-constexpr PolicyVariant kPolicies[] = {
-    {"demeter", PolicyKind::kDemeter, ProvisionMode::kDemeterBalloon, true},
-    {"demeter-nofb", PolicyKind::kDemeter, ProvisionMode::kDemeterBalloon, false},
-    {"tpp", PolicyKind::kTpp, ProvisionMode::kStatic},
-    {"tpp-h", PolicyKind::kHTpp, ProvisionMode::kStatic},
-    {"memtis", PolicyKind::kMemtis, ProvisionMode::kVirtioBalloon},
-    {"nomad", PolicyKind::kNomad, ProvisionMode::kStatic},
-    {"damon", PolicyKind::kDamon, ProvisionMode::kHotplug},
-};
-
 constexpr PlacementPolicy kPlacements[] = {
     PlacementPolicy::kFirstFit,
     PlacementPolicy::kBestFit,
     PlacementPolicy::kSpread,
-};
-
-struct Fleet {
-  int vms = 32;
-  int hosts = 4;
 };
 
 // Even hosts carry the whole schedule: FMEM shrink windows (driving
@@ -133,13 +106,8 @@ ExperimentSpec AvailabilitySpecFor(const BenchScale& scale, const Fleet& fleet,
   spec.cluster.migration.stop_copy_pages = 512;
   spec.cluster.migration.max_precopy_rounds = 2;
   if (level.hostfail) {
-    std::string error;
-    const std::optional<FaultPlan> shared = FaultPlan::Parse(ClusterFaultSpec(fleet.hosts), &error);
-    DEMETER_CHECK(shared.has_value()) << error;
-    const std::optional<FaultPlan> shrink = FaultPlan::Parse(kShrinkSpec, &error);
-    DEMETER_CHECK(shrink.has_value()) << error;
-    spec.config.faults = *shared;
-    spec.cluster.host_faults = {*shrink, FaultPlan{}};
+    spec.config.faults = BuiltInFaults(ClusterFaultSpec(fleet.hosts));
+    spec.cluster.host_faults = {BuiltInFaults(kShrinkSpec), FaultPlan{}};
     if (level.recover) {
       spec.cluster.migration.max_retries = 3;
       spec.cluster.migration.retry_backoff_epochs = 2;
@@ -149,8 +117,7 @@ ExperimentSpec AvailabilitySpecFor(const BenchScale& scale, const Fleet& fleet,
   }
   for (int v = 0; v < fleet.vms; ++v) {
     VmSetup setup = SetupFor(scale, "silo", variant.kind);
-    setup.provision = variant.provision;
-    setup.demeter.degradation.enabled = variant.degradation;
+    variant.ApplyTo(setup);
     spec.vms.push_back(setup);
   }
   return spec;
@@ -216,54 +183,10 @@ void CheckConservation(const ExperimentResult& result) {
 }
 
 int Run(int argc, char** argv) {
-  Fleet fleet;
-  bool fleet_flag = false;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  bool smoke = false;
-  bool full = false;
-  for (int i = 1; i < argc; ++i) {
-    char* arg = argv[i];
-    if (std::strncmp(arg, "--fleet=", 8) == 0) {
-      int vms = 0;
-      int hosts = 0;
-      if (std::sscanf(arg + 8, "%dx%d", &vms, &hosts) != 2 || vms < 1 || hosts < 2 ||
-          hosts % 2 != 0 || vms % hosts != 0) {
-        std::fprintf(stderr,
-                     "%s: --fleet needs VxH with V a multiple of H and H even "
-                     "(odd hosts are the no-fail safe harbor), got '%s'\n",
-                     argv[0], arg + 8);
-        return 2;
-      }
-      fleet = Fleet{vms, hosts};
-      fleet_flag = true;
-    } else {
-      if (std::strcmp(arg, "--smoke") == 0) {
-        smoke = true;
-      } else if (std::strcmp(arg, "--full") == 0) {
-        full = true;
-      }
-      passthrough.push_back(arg);
-    }
-  }
-  BenchScale scale = BenchScale::FromArgs(static_cast<int>(passthrough.size()),
-                                          passthrough.data());
-  if (!scale.faults.empty()) {
-    std::fprintf(stderr, "%s: this bench owns its fault schedule; drop --faults\n", argv[0]);
-    return 2;
-  }
-  if (!fleet_flag) {
-    fleet = smoke ? Fleet{8, 2} : full ? Fleet{64, 8} : Fleet{32, 4};
-  }
-  // --smoke/--full size the fleet; per-VM work stays CI-sized (the fleet
-  // dimension is what grows), doubled so each run spans several failure
-  // windows — a host that dies in the fleet's last barrier proves little.
-  scale.vm_bytes = smoke ? 8 * kMiB : 16 * kMiB;
-  scale.transactions = smoke ? 20000 : 50000;
-  scale.vcpus = 2;
-  scale.transactions *= 2;
+  const auto [scale, fleet] = FleetScaleFromArgs(argc, argv, /*smoke=*/{8, 2}, /*normal=*/{32, 4},
+                                                 /*full=*/{64, 8}, /*even_hosts=*/true);
 
-  const size_t num_policies = sizeof(kPolicies) / sizeof(kPolicies[0]);
+  const size_t num_policies = std::size(kPolicyVariants);
   const size_t num_placements = sizeof(kPlacements) / sizeof(kPlacements[0]);
   // Per placement: every policy at both levels, plus the flagship ablation.
   const size_t per_placement = 2 * num_policies + 1;
@@ -272,22 +195,19 @@ int Run(int argc, char** argv) {
               num_policies, num_placements, fleet.vms, fleet.hosts,
               num_placements * per_placement);
 
-  ExperimentRunner runner(RunnerOptionsFor(scale));
+  std::vector<ExperimentSpec> specs;
   for (const PlacementPolicy placement : kPlacements) {
     for (const FaultLevel& level : kLevels) {
-      for (const PolicyVariant& variant : kPolicies) {
-        runner.Submit(AvailabilitySpecFor(scale, fleet, variant, level, placement));
+      for (const PolicyVariant& variant : kPolicyVariants) {
+        specs.push_back(AvailabilitySpecFor(scale, fleet, variant, level, placement));
       }
     }
-    runner.Submit(AvailabilitySpecFor(scale, fleet, kPolicies[0], kAblation, placement));
+    specs.push_back(AvailabilitySpecFor(scale, fleet, kPolicyVariants[0], kAblation, placement));
   }
-  const std::vector<ExperimentResult> results = runner.RunAll();
-
+  const std::vector<ExperimentResult> results = RunSpecs(scale, std::move(specs));
+  CheckAllOk(results);
   TableSink table;
-  for (const ExperimentResult& result : results) {
-    table.Consume(result);
-  }
-  table.Finish();
+  EmitResults(results, {&table});
 
   for (size_t pl = 0; pl < num_placements; ++pl) {
     const size_t base = pl * per_placement;
@@ -299,8 +219,6 @@ int Run(int argc, char** argv) {
     for (size_t p = 0; p < num_policies; ++p) {
       const ExperimentResult& none = results[base + p];
       const ExperimentResult& fail = results[base + num_policies + p];
-      DEMETER_CHECK(none.ok) << none.spec.name << ": " << none.error;
-      DEMETER_CHECK(fail.ok) << fail.spec.name << ": " << fail.error;
       const Ledger clean = LedgerFor(none);
       const Ledger hurt = LedgerFor(fail);
       DEMETER_CHECK(clean.txns > 0) << none.spec.name << ": fault-free fleet did no work";
@@ -310,7 +228,7 @@ int Run(int argc, char** argv) {
                                        static_cast<double>(hurt.vms_restarted) / 1e6
                                  : 0.0;
       std::printf("  %-14s %9.1f%% %9llu %7llu %7llu %9llu %5llu %5llu %8llu %12.2f\n",
-                  kPolicies[p].name,
+                  kPolicyVariants[p].name,
                   100.0 * static_cast<double>(hurt.txns) / static_cast<double>(clean.txns),
                   static_cast<unsigned long long>(hurt.hosts_failed),
                   static_cast<unsigned long long>(hurt.vms_killed),
@@ -327,7 +245,6 @@ int Run(int argc, char** argv) {
     // Ablation: same schedule, recovery off. Strictly worse retention for
     // the flagship variant, or the pipeline isn't paying for itself.
     const ExperimentResult& ablated = results[base + 2 * num_policies];
-    DEMETER_CHECK(ablated.ok) << ablated.spec.name << ": " << ablated.error;
     const Ledger norec = LedgerFor(ablated);
     CheckConservation(ablated);
     DEMETER_CHECK(norec.vms_restarted == 0)
@@ -349,9 +266,6 @@ int Run(int argc, char** argv) {
         << ": recovery did not beat the no-recovery ablation (recovered=" << demeter_hurt
         << " txns committed, ablated=" << norec.txns << ")";
   }
-
-  MaybeWriteJsonl(scale, results);
-  MaybeWriteTrace(scale, results);
   return 0;
 }
 

@@ -24,13 +24,12 @@
 // here to avoid silently mixing two schedules.
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "src/base/histogram.h"
-#include "src/base/logging.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
@@ -50,27 +49,6 @@ constexpr FaultLevel kLevels[] = {
 
 constexpr double kRatios[] = {1.0, 1.25, 1.5, 2.0};
 
-struct PolicyVariant {
-  const char* name;
-  PolicyKind kind;
-  ProvisionMode provision;
-  bool degradation = true;  // Only meaningful for Demeter.
-};
-
-// Same roster as elasticity_churn: each policy keeps its natural
-// provisioning path. Only the Demeter variants wire a double balloon, so
-// only they can answer the overcommit scheduler's spill requests — the
-// others document what unarbitrated spill costs.
-constexpr PolicyVariant kPolicies[] = {
-    {"demeter", PolicyKind::kDemeter, ProvisionMode::kDemeterBalloon, true},
-    {"demeter-nofb", PolicyKind::kDemeter, ProvisionMode::kDemeterBalloon, false},
-    {"tpp", PolicyKind::kTpp, ProvisionMode::kStatic},
-    {"tpp-h", PolicyKind::kHTpp, ProvisionMode::kStatic},
-    {"memtis", PolicyKind::kMemtis, ProvisionMode::kVirtioBalloon},
-    {"nomad", PolicyKind::kNomad, ProvisionMode::kStatic},
-    {"damon", PolicyKind::kDamon, ProvisionMode::kHotplug},
-};
-
 // Three-tier host sized for the sweep. FMEM carries the standard 25%
 // headroom at R=1.0 and shrinks as 1/R; SMEM is deliberately tighter than
 // the benches' usual 2x so overcommit spill actually reaches the far tier
@@ -89,14 +67,11 @@ MachineConfig OvercommitHostFor(const BenchScale& scale, int num_vms, double rat
 }
 
 int Run(int argc, char** argv) {
-  BenchScale scale = BenchScale::FromArgs(argc, argv);
-  if (!scale.faults.empty()) {
-    std::fprintf(stderr, "%s: this bench owns its fault schedule; drop --faults\n", argv[0]);
-    return 2;
-  }
+  const BenchScale scale =
+      BenchScale::FromArgs(argc, argv, BenchKind::kRunner, /*owns_faults=*/true);
   const size_t num_levels = sizeof(kLevels) / sizeof(kLevels[0]);
   const size_t num_ratios = sizeof(kRatios) / sizeof(kRatios[0]);
-  const size_t num_policies = sizeof(kPolicies) / sizeof(kPolicies[0]);
+  const size_t num_policies = std::size(kPolicyVariants);
   const int vms = scale.concurrent_vms;
 
   std::printf("Overcommit sweep: %zu policies x %zu ratios x %zu fault levels, %d VMs "
@@ -104,14 +79,11 @@ int Run(int argc, char** argv) {
               num_policies, num_ratios, num_levels, vms,
               num_policies * num_ratios * num_levels);
 
-  ExperimentRunner runner(RunnerOptionsFor(scale));
+  std::vector<ExperimentSpec> specs;
   for (const FaultLevel& level : kLevels) {
-    std::string error;
-    const std::optional<FaultPlan> plan = FaultPlan::Parse(level.spec, &error);
-    DEMETER_CHECK(plan.has_value()) << "bad built-in fault spec '" << level.spec
-                                    << "': " << error;
+    const FaultPlan plan = BuiltInFaults(level.spec);
     for (const double ratio : kRatios) {
-      for (const PolicyVariant& variant : kPolicies) {
+      for (const PolicyVariant& variant : kPolicyVariants) {
         // silo: drifting hotspot, so what lands in the far tier is not
         // permanently cold — hot swap-ins and level-skip promotions matter.
         ExperimentSpec spec = SpecFor(scale, "silo", variant.kind, vms, SmemKind::kPmem);
@@ -120,27 +92,25 @@ int Run(int argc, char** argv) {
         spec.name = std::string("silo/") + variant.name + "/" + tag + "/" + level.name;
         spec.tag = tag;
         spec.config = OvercommitHostFor(scale, vms, ratio);
-        spec.config.faults = *plan;
+        spec.config.faults = plan;
+        // Only the Demeter variants wire a double balloon, so only they can
+        // answer the scheduler's spill requests; the others show what
+        // unarbitrated spill costs.
         for (VmSetup& setup : spec.vms) {
-          setup.provision = variant.provision;
-          setup.demeter.degradation.enabled = variant.degradation;
+          variant.ApplyTo(setup);
         }
         // One VM finishes at half the target and departs: its far-tier
         // slots must be reclaimed with its frames (ReclaimVm), and the
         // survivors inherit the freed capacity mid-run.
         spec.vms.back().target_transactions = scale.transactions / 2;
         spec.vms.back().depart_on_finish = true;
-        runner.Submit(spec);
+        specs.push_back(std::move(spec));
       }
     }
   }
-  const std::vector<ExperimentResult> results = runner.RunAll();
-
+  const std::vector<ExperimentResult> results = RunSpecs(scale, std::move(specs));
   TableSink table;
-  for (const ExperimentResult& result : results) {
-    table.Consume(result);
-  }
-  table.Finish();
+  EmitResults(results, {&table});
 
   // Headline: throughput and tail latency against the overcommit ratio,
   // with the far-tier and arbitration work that explains them.
@@ -153,7 +123,7 @@ int Run(int argc, char** argv) {
         const size_t idx = (l * num_ratios + r) * num_policies + p;
         const ExperimentResult& result = results[idx];
         if (!result.ok) {
-          std::printf("  %-14s %6.2f FAILED: %s\n", kPolicies[p].name, kRatios[r],
+          std::printf("  %-14s %6.2f FAILED: %s\n", kPolicyVariants[p].name, kRatios[r],
                       result.error.c_str());
           continue;
         }
@@ -167,7 +137,7 @@ int Run(int argc, char** argv) {
         const uint64_t stores = host.CounterValue("swap/stores");
         const uint64_t loads = host.CounterValue("swap/loads");
         std::printf("  %-14s %6.2f %10.0f %9.1f %9llu %9llu %9llu %8llu %8llu\n",
-                    kPolicies[p].name, kRatios[r], tps,
+                    kPolicyVariants[p].name, kRatios[r], tps,
                     static_cast<double>(merged.Percentile(99)) / 1000.0,
                     static_cast<unsigned long long>(stores),
                     static_cast<unsigned long long>(loads),
@@ -213,9 +183,6 @@ int Run(int argc, char** argv) {
         << result.spec.name << ": slot flow does not balance (stores=" << stores
         << ", loads=" << loads << ", drops=" << drops << ", active=" << active << ")";
   }
-
-  MaybeWriteJsonl(scale, results);
-  MaybeWriteTrace(scale, results);
   return 0;
 }
 

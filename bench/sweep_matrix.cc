@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
@@ -32,21 +31,17 @@ int Run(int argc, char** argv) {
               policies.size(), smem_kinds.size(), workloads.size(),
               policies.size() * smem_kinds.size() * workloads.size());
 
-  ExperimentRunner runner(RunnerOptionsFor(scale));
+  std::vector<ExperimentSpec> specs;
   for (const std::string& workload : workloads) {
     for (SmemKind smem : smem_kinds) {
       for (PolicyKind policy : policies) {
-        runner.Submit(SpecFor(scale, workload, policy, scale.concurrent_vms, smem));
+        specs.push_back(SpecFor(scale, workload, policy, scale.concurrent_vms, smem));
       }
     }
   }
-  const std::vector<ExperimentResult> results = runner.RunAll();
-
+  const std::vector<ExperimentResult> results = RunSpecs(scale, std::move(specs));
   TableSink table;
-  for (const ExperimentResult& result : results) {
-    table.Consume(result);
-  }
-  table.Finish();
+  EmitResults(results, {&table});
 
   // Per (workload, tier) winner by mean elapsed time — the sweep's headline.
   std::printf("\nFastest policy per cell:\n");
@@ -66,8 +61,6 @@ int Run(int argc, char** argv) {
                   who.c_str(), best);
     }
   }
-  MaybeWriteJsonl(scale, results);
-  MaybeWriteTrace(scale, results);
   return 0;
 }
 

@@ -8,29 +8,34 @@
 // again (~47%) and runs ~15% faster than G-TPP.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/common.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
 
 int Run(int argc, char** argv) {
-  const BenchScale scale = BenchScale::FromArgs(argc, argv, BenchKind::kDirect);
+  const BenchScale scale = BenchScale::FromArgs(argc, argv);
   std::printf("Table 1: TLB flush comparison under GUPS\n\n");
   TablePrinter table({"design", "tlb-flush-single", "tlb-flush-full", "gups-elapsed-s"});
 
+  std::vector<ExperimentSpec> specs;
   for (PolicyKind policy : {PolicyKind::kHTpp, PolicyKind::kTpp, PolicyKind::kDemeter}) {
-    Machine machine(HostFor(scale, 1));
-    VmSetup setup = SetupFor(scale, "gups", policy);
+    ExperimentSpec spec = SpecFor(scale, "gups", policy, 1);
     if (policy == PolicyKind::kHTpp) {
       // The hypervisor port's MMU-notifier hooks fire with guest activity,
       // not on the guest's coarse scan timer: scan much more often.
-      setup.policy_period = scale.policy_period / 3;
+      spec.vms[0].policy_period = scale.policy_period / 3;
     }
-    machine.AddVm(setup);
-    machine.Run();
-    const VmRunResult& result = machine.result(0);
+    specs.push_back(std::move(spec));
+  }
+  const std::vector<ExperimentResult> results = RunSpecs(scale, std::move(specs));
+  CheckAllOk(results);
+
+  for (const ExperimentResult& experiment : results) {
+    const VmRunResult& result = experiment.vms[0];
+    const PolicyKind policy = experiment.spec.vms[0].policy;
     const char* label = policy == PolicyKind::kHTpp   ? "H-TPP"
                         : policy == PolicyKind::kTpp ? "G-TPP"
                                                      : "Demeter";

@@ -21,7 +21,7 @@ namespace demeter {
 namespace {
 
 struct Tenant {
-  const char* name;
+  const char* name = nullptr;
   Vm* vm = nullptr;
   GuestProcess* process = nullptr;
   std::unique_ptr<Workload> workload;
@@ -77,7 +77,9 @@ int Run() {
   EventQueue events;
   Hypervisor hyper(&memory, &events);
 
-  Tenant tenants[2] = {{"premium"}, {"best-effort"}};
+  Tenant tenants[2];
+  tenants[0].name = "premium";
+  tenants[1].name = "best-effort";
   for (int i = 0; i < 2; ++i) {
     VmConfig config;
     config.id = i;

@@ -15,6 +15,10 @@ namespace demeter {
 
 namespace {
 
+// Restart-queue admission control: kills beyond this many waiting VMs are
+// lost outright.
+constexpr size_t kRestartQueueLimit = 64;
+
 uint64_t PagesFor(const VmSetup& setup) {
   return (setup.vm.total_memory_bytes + kPageSize - 1) / kPageSize;
 }
@@ -367,8 +371,7 @@ void Cluster::DetectHostFailures(Nanos now, int64_t barrier) {
       });
       if (!setup_.ha.restart) {
         ++vms_lost_;  // No-recovery ablation: every kill is terminal.
-      } else if (restart_queue_.size() >=
-                 static_cast<size_t>(setup_.ha.restart_queue_limit)) {
+      } else if (restart_queue_.size() >= kRestartQueueLimit) {
         ++vms_lost_;  // Admission control: the queue is full, drop.
       } else {
         restart_queue_.push_back(RestartEntry{static_cast<int>(i), 0, barrier + 1, now});
@@ -623,9 +626,7 @@ void Cluster::Run() {
     PlaceDue(t);
     ProcessRestartQueue(t, barrier);
     ProcessMigrationRetries(t, barrier);
-    if (setup_.migration.evacuate_on_shrink) {
-      MaybeEvacuate(t, barrier);
-    }
+    MaybeEvacuate(t, barrier);
     if (check_invariants_) {
       const InvariantReport report = migrator_->AuditCommitments();
       DEMETER_CHECK(report.ok()) << "commitment conservation: " << report.Join();

@@ -51,7 +51,6 @@ namespace demeter {
 // lost after `restart_max_attempts`.
 struct HaConfig {
   bool restart = true;            // Re-place killed VMs on surviving hosts.
-  int restart_queue_limit = 64;   // Kills beyond this are lost outright.
   int restart_backoff_epochs = 2;  // Barriers between attempts per VM.
   int restart_max_attempts = 8;   // Rejections before the VM is lost.
   int quarantine_epochs = 8;      // Probation barriers after resurrection.

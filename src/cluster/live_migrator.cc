@@ -7,6 +7,12 @@
 #include "src/mmu/page_table.h"
 
 namespace demeter {
+namespace {
+
+// Interconnect cost per copied page.
+constexpr double kWireNsPerPage = 600.0;
+
+}  // namespace
 
 LiveMigrator::LiveMigrator(const MigrationConfig& config,
                            std::vector<std::unique_ptr<Machine>>& hosts, FaultInjector* faults)
@@ -46,7 +52,7 @@ LiveMigrator::RoundResult LiveMigrator::CopyRound(Machine& src, int vm_idx, bool
                               ++round.pages;
                               round.ns += mem.tier(mem.TierOf(static_cast<FrameId>(frame)))
                                               .AccessCost(now, kPageSize, /*is_write=*/false) +
-                                          config_.wire_ns_per_page;
+                                          kWireNsPerPage;
                             }
                           });
   for (const PageNum gpa : dirty) {

@@ -16,11 +16,11 @@
 //                      downtime on every resumed vCPU clock.
 //
 // Copy bandwidth is charged to the source VM's management account
-// (TmmStage::kMigration): per page, one source-tier read plus
-// `wire_ns_per_page` of interconnect. The armed `migratefail` fault aborts
-// a migration once its cumulative copy time crosses the per-host window —
-// strictly before stop-and-copy, so the source VM was never touched and the
-// abort is leak-free by construction.
+// (TmmStage::kMigration): per page, one source-tier read plus 600 ns of
+// interconnect. The armed `migratefail` fault aborts a migration once its
+// cumulative copy time crosses the per-host window — strictly before
+// stop-and-copy, so the source VM was never touched and the abort is
+// leak-free by construction.
 
 #ifndef DEMETER_SRC_CLUSTER_LIVE_MIGRATOR_H_
 #define DEMETER_SRC_CLUSTER_LIVE_MIGRATOR_H_
@@ -35,11 +35,8 @@
 namespace demeter {
 
 struct MigrationConfig {
-  // Evacuate VMs off hosts whose FMEM tier enters a shrink window.
-  bool evacuate_on_shrink = true;
   int max_precopy_rounds = 4;       // Rounds before forced stop-and-copy.
   uint64_t stop_copy_pages = 256;   // Dirty set small enough to stop-and-copy.
-  double wire_ns_per_page = 600.0;  // Interconnect cost per copied page.
   int max_inflight = 2;             // Cluster-wide concurrent migrations.
   int cooldown_epochs = 4;          // Barriers between evacuations per source.
   // Aborted migrations (migratefail or a fenced destination) re-enter a

@@ -382,6 +382,9 @@ void Machine::DeactivateVm(int i) {
   RefreshMinClock();  // Removing a member can raise the minimum.
 }
 
+// Virtual time each vCPU runs per turn of the main loop.
+constexpr Nanos kQuantum = 1 * kMillisecond;
+
 void Machine::RunVmQuantum(int i) {
   Vm& machine_vm = vm(i);
   VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
@@ -396,7 +399,7 @@ void Machine::RunVmQuantum(int i) {
   for (int v = 0; v < machine_vm.num_vcpus() && !rt.finished; ++v) {
     Vcpu& vcpu = machine_vm.vcpu(v);
     VcpuProgress& progress = rt.progress[static_cast<size_t>(v)];
-    const double quantum_end = vcpu.clock_ns + static_cast<double>(config_.quantum);
+    const double quantum_end = vcpu.clock_ns + static_cast<double>(kQuantum);
     while (vcpu.clock_ns < quantum_end && !rt.finished) {
       if (progress.batch_pos >= progress.batch.size()) {
         progress.batch.clear();
@@ -870,22 +873,6 @@ int Machine::AdoptVm(MigratedVm&& moved, Nanos now, double extra_downtime_ns) {
   DrainEvents(event_horizon_);
   MaybeAuditInvariants("post-adopt");
   return i;
-}
-
-double Machine::TotalMgmtCores() const {
-  double total = 0.0;
-  for (int i = 0; i < num_vms(); ++i) {
-    total += results_[static_cast<size_t>(i)].MgmtCores();
-  }
-  return total;
-}
-
-double Machine::MeanElapsedSeconds() const {
-  double total = 0.0;
-  for (int i = 0; i < num_vms(); ++i) {
-    total += results_[static_cast<size_t>(i)].elapsed_s;
-  }
-  return num_vms() == 0 ? 0.0 : total / num_vms();
 }
 
 }  // namespace demeter

@@ -56,7 +56,6 @@ const char* ProvisionModeName(ProvisionMode mode);
 
 struct MachineConfig {
   std::vector<TierSpec> tiers;
-  Nanos quantum = 1 * kMillisecond;
   size_t batch_ops = 512;  // Ops fetched from the workload generator at a time.
   uint64_t seed = 42;
   // Record trace events (TLB flushes, PMI drains, migration batches,
@@ -257,10 +256,6 @@ class Machine {
   DemeterBalloon* demeter_balloon(int i) { return demeter_balloons_[static_cast<size_t>(i)].get(); }
   // The overcommit scheduler (null unless config.overcommit.enabled).
   OvercommitScheduler* overcommit() { return overcommit_.get(); }
-
-  // Aggregate results.
-  double TotalMgmtCores() const;
-  double MeanElapsedSeconds() const;
 
   // Full name-sorted snapshot: "host/..." plus every "vm<i>/..." tree.
   MetricSnapshot SnapshotMetrics() const { return registry_.Snapshot(); }

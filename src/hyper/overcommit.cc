@@ -6,6 +6,15 @@
 #include "src/hyper/hypervisor.h"
 
 namespace demeter {
+namespace {
+
+constexpr Nanos kTickPeriod = kMillisecond;  // Between arbitration rounds.
+// Arbitration hysteresis on FMEM free fraction: reclaim below the low
+// watermark, stop (and deflate) above the high one.
+constexpr double kLowFreeFrac = 0.08;
+constexpr double kHighFreeFrac = 0.16;
+
+}  // namespace
 
 OvercommitScheduler::OvercommitScheduler(Hypervisor* hyper, const OvercommitConfig& config)
     : hyper_(hyper), config_(config) {
@@ -15,11 +24,11 @@ OvercommitScheduler::OvercommitScheduler(Hypervisor* hyper, const OvercommitConf
 OvercommitScheduler::~OvercommitScheduler() { *alive_ = false; }
 
 void OvercommitScheduler::Start() {
-  if (!config_.enabled || !spill_ || config_.period_ns == 0) {
+  if (!config_.enabled || !spill_) {
     return;
   }
   auto alive = alive_;
-  hyper_->events().Schedule(config_.period_ns, [this, alive](Nanos fire) {
+  hyper_->events().Schedule(kTickPeriod, [this, alive](Nanos fire) {
     if (!*alive) {
       return;
     }
@@ -31,7 +40,7 @@ void OvercommitScheduler::Tick(Nanos now) {
   ++stats_.ticks;
   Arbitrate(now);
   auto alive = alive_;
-  hyper_->events().Schedule(now + config_.period_ns, [this, alive](Nanos fire) {
+  hyper_->events().Schedule(now + kTickPeriod, [this, alive](Nanos fire) {
     if (!*alive) {
       return;
     }
@@ -56,7 +65,7 @@ void OvercommitScheduler::Arbitrate(Nanos now) {
   const uint64_t free = memory.FreePages(kFmemTier);
   const double free_frac = static_cast<double>(free) / static_cast<double>(capacity);
 
-  if (free_frac < config_.low_free_frac) {
+  if (free_frac < kLowFreeFrac) {
     // Pressure: squeeze the VM whose fast-node residency is the furthest
     // over its fair share. Residency is the guest's node-0 used pages —
     // the double balloon acts on guest nodes, so that is the currency the
@@ -75,7 +84,7 @@ void OvercommitScheduler::Arbitrate(Nanos now) {
     }
     const uint64_t fair = capacity / active;
     const uint64_t target_free =
-        static_cast<uint64_t>(config_.high_free_frac * static_cast<double>(capacity));
+        static_cast<uint64_t>(kHighFreeFrac * static_cast<double>(capacity));
     uint64_t needed = target_free > free ? target_free - free : 0;
     needed = std::min(needed, config_.max_batch_pages);
     if (needed == 0) {
@@ -112,11 +121,11 @@ void OvercommitScheduler::Arbitrate(Nanos now) {
     return;
   }
 
-  if (free_frac > config_.high_free_frac) {
+  if (free_frac > kHighFreeFrac) {
     // Recovered: hand pages back, most-squeezed VM first, but never more
     // than the surplus above the high watermark (no thrashing).
     const uint64_t target_free =
-        static_cast<uint64_t>(config_.high_free_frac * static_cast<double>(capacity));
+        static_cast<uint64_t>(kHighFreeFrac * static_cast<double>(capacity));
     const uint64_t surplus = free - target_free;
     int victim = -1;
     uint64_t victim_taken = 0;

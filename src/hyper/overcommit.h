@@ -39,11 +39,6 @@ class Hypervisor;
 
 struct OvercommitConfig {
   bool enabled = false;
-  Nanos period_ns = kMillisecond;
-  // Arbitration hysteresis on FMEM free fraction: reclaim below `low`,
-  // stop (and deflate) above `high`.
-  double low_free_frac = 0.08;
-  double high_free_frac = 0.16;
   // Largest balloon delta requested per tick (bounds per-tick guest work).
   uint64_t max_batch_pages = 256;
 };

@@ -1,9 +1,11 @@
 #include "src/runner/runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <future>
 #include <mutex>
+#include <thread>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -42,7 +44,10 @@ std::vector<ExperimentResult> ExperimentRunner::RunAll() {
   std::atomic<size_t> done{0};
   std::mutex progress_mu;
 
-  ThreadPool pool(options_.jobs);
+  // Never more workers than specs: an idle worker is a thread for nothing.
+  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  const size_t jobs = options_.jobs > 0 ? static_cast<size_t>(options_.jobs) : cores;
+  ThreadPool pool(static_cast<int>(std::max<size_t>(1, std::min(jobs, specs_.size()))));
   std::vector<std::future<void>> futures;
   futures.reserve(specs_.size());
   for (size_t i = 0; i < specs_.size(); ++i) {

@@ -30,6 +30,7 @@ namespace demeter {
 
 struct RunnerOptions {
   // Worker threads; <= 0 selects std::thread::hardware_concurrency().
+  // RunAll never starts more workers than there are specs.
   int jobs = 0;
   // One line per finished job on progress_stream (never stdout).
   bool progress = true;

@@ -193,9 +193,15 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(2.0, 15.0, 30.0),        // tau_split
                        ::testing::Values(kPageSize, kHugePageSize, 16 * kMiB)),
     [](const ::testing::TestParamInfo<TreeParams>& info) {
-      return "a" + std::to_string(static_cast<int>(std::get<0>(info.param))) + "_t" +
-             std::to_string(static_cast<int>(std::get<1>(info.param))) + "_g" +
-             std::to_string(std::get<2>(info.param) / kPageSize);
+      // Appends rather than `"a" + std::string`, which GCC 12 flags with a
+      // false -Wrestrict in optimized builds.
+      std::string name = "a";
+      name += std::to_string(static_cast<int>(std::get<0>(info.param)));
+      name += "_t";
+      name += std::to_string(static_cast<int>(std::get<1>(info.param)));
+      name += "_g";
+      name += std::to_string(std::get<2>(info.param) / kPageSize);
+      return name;
     });
 
 // ---- PEBS parameter grid --------------------------------------------------------
@@ -225,8 +231,11 @@ INSTANTIATE_TEST_SUITE_P(PeriodsAndThresholds, PebsParamTest,
                          ::testing::Combine(::testing::Values(61, 509, 4093, 65537),
                                             ::testing::Values(64.0, 1000.0)),
                          [](const ::testing::TestParamInfo<PebsParams>& info) {
-                           return "p" + std::to_string(std::get<0>(info.param)) + "_t" +
-                                  std::to_string(static_cast<int>(std::get<1>(info.param)));
+                           std::string name = "p";
+                           name += std::to_string(std::get<0>(info.param));
+                           name += "_t";
+                           name += std::to_string(static_cast<int>(std::get<1>(info.param)));
+                           return name;
                          });
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -207,6 +208,49 @@ TEST(RunnerTest, ThrowingSpecIsIsolated) {
   }
   EXPECT_NE(JsonLinesSink::ToJsonLines(results[1]).find("\"error\":\"permanent\""),
             std::string::npos);
+}
+
+// This process's thread count from /proc/self/status, or -1 where that
+// file cannot be read.
+int ProcessThreads() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) {
+    return -1;
+  }
+  char line[256];
+  int threads = -1;
+  while (std::fgets(line, sizeof(line), status) != nullptr &&
+         std::sscanf(line, "Threads: %d", &threads) != 1) {
+  }
+  std::fclose(status);
+  return threads;
+}
+
+TEST(RunnerTest, PoolNeverOutnumbersSpecs) {
+  // --jobs=32 over two specs starts two workers, not 32 idle threads.
+  const int before = ProcessThreads();
+  if (before < 0) {
+    GTEST_SKIP() << "/proc/self/status cannot be read";
+  }
+  std::mutex mu;
+  int most = 0;
+  RunnerOptions options = QuietOptions(32);
+  options.run_fn = [&](const ExperimentSpec& spec) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      most = std::max(most, ProcessThreads());
+    }
+    ExperimentResult result;
+    result.spec = spec;
+    result.ok = true;
+    return result;
+  };
+  ExperimentRunner runner(options);
+  runner.Submit(SmallSpec("first", "gups", PolicyKind::kStatic));
+  runner.Submit(SmallSpec("second", "gups", PolicyKind::kStatic));
+  runner.RunAll();
+  EXPECT_LE(most - before, 2) << before << " threads before RunAll, " << most
+                              << " while a job ran";
 }
 
 // ----------------------------------------------- Determinism across --jobs=N

@@ -18,8 +18,8 @@
 #include <limits>
 #include <string>
 
-#include "src/harness/machine.h"
 #include "src/harness/table.h"
+#include "src/runner/experiment.h"
 
 namespace demeter {
 namespace {
@@ -137,7 +137,10 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  MachineConfig host;
+  ExperimentSpec spec;
+  spec.name = options.workload + "/" + options.policy;
+  spec.tag = options.workload;
+  MachineConfig& host = spec.config;
   host.seed = options.seed;
   const uint64_t n = static_cast<uint64_t>(options.vms);
   const uint64_t fmem = PageCeil(static_cast<uint64_t>(
@@ -152,7 +155,6 @@ int Run(int argc, char** argv) {
     host.tiers.push_back(TierSpec::Zswap(options.vm_mib * kMiB * n));
     host.overcommit.enabled = true;
   }
-  Machine machine(host);
   for (int v = 0; v < options.vms; ++v) {
     VmSetup setup;
     setup.vm.total_memory_bytes = options.vm_mib * kMiB;
@@ -166,9 +168,9 @@ int Run(int argc, char** argv) {
     setup.demeter.range.epoch_length = 10 * kMillisecond;
     setup.demeter.range.split_threshold = 4.0;
     setup.demeter.sample_period = 97;
-    machine.AddVm(setup);
+    spec.vms.push_back(setup);
   }
-  machine.Run();
+  const ExperimentResult result = RunExperiment(spec);
 
   std::printf("workload=%s policy=%s vms=%d vm=%lluMiB footprint=%lluMiB smem=%s "
               "provision=%s overcommit=%.2f seed=%llu\n\n",
@@ -180,8 +182,8 @@ int Run(int argc, char** argv) {
 
   TablePrinter table({"vm", "elapsed-s", "txn/s", "fmem-hit", "promoted", "demoted",
                       "tlb-single", "tlb-full", "mgmt-cores", "p99-lat-us"});
-  for (int v = 0; v < machine.num_vms(); ++v) {
-    const VmRunResult& r = machine.result(v);
+  for (size_t v = 0; v < result.vms.size(); ++v) {
+    const VmRunResult& r = result.vms[v];
     table.AddRow({TablePrinter::Fmt(static_cast<uint64_t>(v)),
                   TablePrinter::Fmt(r.elapsed_s, 3), TablePrinter::Fmt(r.ThroughputTps(), 0),
                   TablePrinter::Fmt(r.fmem_access_fraction * 100, 1) + "%",
@@ -193,8 +195,8 @@ int Run(int argc, char** argv) {
                                     2)});
   }
   table.Print();
-  std::printf("\nmean elapsed %.3fs, total mgmt cores %.3f\n", machine.MeanElapsedSeconds(),
-              machine.TotalMgmtCores());
+  std::printf("\nmean elapsed %.3fs, total mgmt cores %.3f\n", result.MeanElapsedSeconds(),
+              result.TotalMgmtCores());
   return 0;
 }
 
