@@ -119,7 +119,8 @@ int Run(int argc, char** argv) {
         }
         placement = PlacementPolicyFromName(name);
         return true;
-      });
+      },
+      "  --placement=P  host placement: first-fit (default), best-fit or spread\n");
 
   const size_t num_levels = sizeof(kLevels) / sizeof(kLevels[0]);
   const size_t num_policies = std::size(kPolicyVariants);

@@ -84,12 +84,17 @@ struct BenchScale {
   bool check_invariants = false;  // --check.
   bool smoke = false;         // --smoke was given (benches that scale VM counts).
 
-  static void Usage(const char* prog, std::FILE* stream, BenchKind kind) {
+  // Prints the flags `prog` accepts: the shared ones its kind takes (no
+  // --faults when it owns its fault schedule), then `own_flags`, lines
+  // describing the flags a caller parsed before FromArgs.
+  static void Usage(const char* prog, std::FILE* stream, BenchKind kind, bool owns_faults,
+                    const std::string& own_flags) {
     const bool runner = kind == BenchKind::kRunner;
     std::fprintf(stream,
                  "usage: %s [--full] [--smoke]%s\n"
-                 "          [--faults=SPEC] [--check] [--help]\n",
-                 prog, runner ? " [--jobs=N] [--out=FILE] [--trace=FILE]" : "");
+                 "          %s[--check] [--help]\n",
+                 prog, runner ? " [--jobs=N] [--out=FILE] [--trace=FILE]" : "",
+                 owns_faults ? "" : "[--faults=SPEC] ");
     std::fprintf(stream,
                  "  --full         paper-scale (slower) configuration\n"
                  "  --smoke        tiny CI configuration (completes in seconds)\n");
@@ -99,10 +104,13 @@ struct BenchScale {
                    "  --out=FILE     also write JSON-lines results to FILE\n"
                    "  --trace=FILE   write Chrome trace_event JSON to FILE\n");
     }
-    std::fprintf(stream,
-                 "  --faults=SPEC  inject a fault schedule, e.g.\n"
-                 "                 'bdrop=0.1,stall=5ms/50ms,vqcap=8' (see src/fault)\n"
-                 "  --check        audit cross-layer invariants every quantum\n");
+    if (!owns_faults) {
+      std::fprintf(stream,
+                   "  --faults=SPEC  inject a fault schedule, e.g.\n"
+                   "                 'bdrop=0.1,stall=5ms/50ms,vqcap=8' (see src/fault)\n");
+    }
+    std::fprintf(stream, "  --check        audit cross-layer invariants every quantum\n%s",
+                 own_flags.c_str());
   }
 
   // Parses the shared bench flags. Unknown arguments, the runner flags given
@@ -110,9 +118,10 @@ struct BenchScale {
   // (sweeps its own fault schedules, which a second one would silently mix
   // with) are an error: print a message and exit(2) rather than silently
   // ignoring a typo or a file that would stay empty. Output files are
-  // opened only after every argument has been accepted.
+  // opened only after every argument has been accepted. `own_flags` goes
+  // into the usage text (see Usage).
   static BenchScale FromArgs(int argc, char** argv, BenchKind kind = BenchKind::kRunner,
-                             bool owns_faults = false) {
+                             bool owns_faults = false, const std::string& own_flags = {}) {
     BenchScale scale;
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
@@ -177,11 +186,11 @@ struct BenchScale {
       } else if (std::strcmp(arg, "--check") == 0) {
         scale.check_invariants = true;
       } else if (std::strcmp(arg, "--help") == 0) {
-        Usage(argv[0], stdout, kind);
+        Usage(argv[0], stdout, kind, owns_faults, own_flags);
         std::exit(0);
       } else {
         std::fprintf(stderr, "%s: unrecognized argument '%s'\n", argv[0], arg);
-        Usage(argv[0], stderr, kind);
+        Usage(argv[0], stderr, kind, owns_faults, own_flags);
         std::exit(2);
       }
     }
@@ -256,12 +265,13 @@ struct FleetScale {
 // size (`smoke`, `normal` or `full`), not the VM's: per-VM work stays
 // CI-sized, doubled so each run spans several fault windows, and the fleet
 // dimension is what grows. --fleet=VxH sets the size outright (see
-// ParseFleet); `claim` may take further bench-specific flags; the rest go
-// to BenchScale::FromArgs. Fleet benches own their fault schedules, so
-// --faults is rejected.
+// ParseFleet); `claim` may take further bench-specific flags, which
+// `claim_usage` describes for --help; the rest go to BenchScale::FromArgs.
+// Fleet benches own their fault schedules, so --faults is rejected.
 inline FleetScale FleetScaleFromArgs(int argc, char** argv, Fleet smoke, Fleet normal, Fleet full,
                                      bool even_hosts,
-                                     const std::function<bool(const char*)>& claim = {}) {
+                                     const std::function<bool(const char*)>& claim = {},
+                                     const char* claim_usage = "") {
   std::optional<Fleet> fleet;
   bool full_flag = false;
   std::vector<char*> shared = {argv[0]};
@@ -273,8 +283,15 @@ inline FleetScale FleetScaleFromArgs(int argc, char** argv, Fleet smoke, Fleet n
       shared.push_back(argv[i]);
     }
   }
+  char fleet_usage[256];
+  std::snprintf(fleet_usage, sizeof(fleet_usage),
+                "  --fleet=VxH    V VMs on H hosts, V a multiple of H%s\n"
+                "                 (default %dx%d, %dx%d with --smoke, %dx%d with --full)\n",
+                even_hosts ? " and H even" : "", normal.vms, normal.hosts, smoke.vms,
+                smoke.hosts, full.vms, full.hosts);
   FleetScale out{BenchScale::FromArgs(static_cast<int>(shared.size()), shared.data(),
-                                      BenchKind::kRunner, /*owns_faults=*/true),
+                                      BenchKind::kRunner, /*owns_faults=*/true,
+                                      std::string(fleet_usage) + claim_usage),
                  {}};
   BenchScale& scale = out.scale;
   out.fleet = fleet ? *fleet : scale.smoke ? smoke : full_flag ? full : normal;

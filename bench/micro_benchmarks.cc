@@ -94,6 +94,34 @@ void BM_TlbLookupHit(benchmark::State& state) {
 }
 BENCHMARK(BM_TlbLookupHit);
 
+void BM_TlbLookupHitMixedRecency(benchmark::State& state) {
+  // BM_TlbLookupHit hits the front of each set's recency list every time.
+  // Here every set is full at 8 ways and each probe picks a resident page
+  // at random, so a hit is equally likely at any of the 8 places.
+  Tlb tlb;
+  for (PageNum p = 0; p < 4 * static_cast<PageNum>(tlb.capacity()); ++p) {
+    tlb.Insert(p, p);
+  }
+  std::vector<PageNum> resident;
+  tlb.ForEachValid([&](PageNum vpn, FrameId) { resident.push_back(vpn); });
+  if (resident.size() != static_cast<size_t>(tlb.capacity())) {
+    state.SkipWithError("a set is not full");
+    return;
+  }
+  Rng rng(1);
+  std::vector<PageNum> probes(1 << 16);
+  for (PageNum& vpn : probes) {
+    vpn = resident[rng.NextBelow(resident.size())];
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tlb.Lookup(probes[next]));
+    next = (next + 1) & (probes.size() - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TlbLookupHitMixedRecency);
+
 void BM_TlbLookupHitManyVcpus(benchmark::State& state) {
   // dense-scan's shape: 128 vCPUs, each with a default TLB holding 3072
   // pages, probed round-robin in shuffled page order, so the probe pays for

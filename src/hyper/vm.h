@@ -226,9 +226,12 @@ class Vm {
 
   // The access pipeline behind ExecuteBatch (the memo tracks same-page
   // runs across one batch) and ExecuteAccess (a fresh memo per access,
-  // which never matches).
-  AccessResult ExecuteAccessImpl(Vcpu& v, GuestProcess& process, uint64_t gva, bool is_write,
-                                 RunMemo& memo);
+  // which never matches). Forced inline, so it compiles into the batch
+  // loop instead of costing a call per op; GCC keeps it out of line
+  // otherwise.
+  [[gnu::always_inline]] inline AccessResult ExecuteAccessImpl(Vcpu& v, GuestProcess& process,
+                                                               uint64_t gva, bool is_write,
+                                                               RunMemo& memo);
 
   // Charges a page-sized transfer against the host tier backing `gpa`.
   double PageCopyCost(PageNum src_gpa, PageNum dst_gpa, Nanos now);

@@ -10,6 +10,7 @@ Tlb::Tlb(int num_sets, int ways) : num_sets_(num_sets), ways_(ways) {
   DEMETER_CHECK_GE(num_sets, 1);
   DEMETER_CHECK_GE(ways, 1);
   DEMETER_CHECK_LE(ways, kMaxWays);
+  set_magic_ = UINT64_MAX / static_cast<uint64_t>(num_sets) + 1;  // Wraps to 0 for one set.
   const size_t cap = static_cast<size_t>(num_sets) * static_cast<size_t>(ways);
   tags_.resize(cap, 0);  // Sentinel: everything starts invalid.
   frames_.resize(cap, kInvalidFrame);

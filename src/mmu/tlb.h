@@ -26,6 +26,7 @@
 #ifndef DEMETER_SRC_MMU_TLB_H_
 #define DEMETER_SRC_MMU_TLB_H_
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -189,19 +190,24 @@ class Tlb {
   uint64_t TagOf(PageNum vpn) const { return (epoch_ << kVpnBits) | vpn; }
 
   size_t SetOf(PageNum vpn) const {
-    // Multiplicative hash spreads contiguous pages across sets.
-    uint64_t h = vpn * 0x9e3779b97f4a7c15ULL;
-    return static_cast<size_t>((h >> 32) % static_cast<uint64_t>(num_sets_));
+    // Multiplicative hash spreads contiguous pages across sets. Lemire's
+    // fastmod then gives (h >> 32) % num_sets_ without a division: it
+    // equals `%` for every 32-bit numerator and divisor.
+    const uint64_t h32 = (vpn * 0x9e3779b97f4a7c15ULL) >> 32;
+    return static_cast<size_t>(
+        (static_cast<__uint128_t>(set_magic_ * h32) * static_cast<uint64_t>(num_sets_)) >> 64);
   }
 
   // Moves `way` to the front of its set's recency list.
   void Touch(size_t set, int way) {
     uint32_t& order = order_[set];
     const uint32_t w = static_cast<uint32_t>(way);
-    int pos = 0;
-    while (((order >> (4 * pos)) & 0xF) != w) {
-      ++pos;
-    }
+    // `way`'s place is the lowest zero nibble of x. Every place ahead of it
+    // holds another way, so its nibble of x is nonzero and lends no borrow
+    // to the test; the zero padding of a set with fewer than 8 ways lies
+    // behind every way.
+    const uint32_t x = order ^ (0x11111111u * w);
+    const int pos = std::countr_zero((x - 0x11111111u) & ~x & 0x88888888u) / 4;
     // The ways ahead of `way` move back one place; `way` takes place 0.
     const uint64_t ahead = (uint64_t{1} << (4 * pos)) - 1;
     const uint64_t through = (ahead << 4) | 0xF;
@@ -210,6 +216,7 @@ class Tlb {
 
   int num_sets_;
   int ways_;
+  uint64_t set_magic_ = 0;  // UINT64_MAX / num_sets_ + 1: SetOf's fastmod inverse.
   std::vector<uint64_t> tags_;  // epoch << kVpnBits | vpn; 0 = never valid.
   std::vector<FrameId> frames_;
   std::vector<uint32_t> order_;  // Per set: ways most-recent-first, 4 bits each.

@@ -12,45 +12,40 @@ BtreeWorkload::BtreeWorkload(BtreeConfig config) : config_(config) {
 
 void BtreeWorkload::Setup(GuestProcess& process, Rng& rng) {
   (void)rng;
+  constexpr uint64_t kFanout = uint64_t{1} << kFanoutBits;
   // Size the tree: leaves consume most of the footprint.
-  leaf_count_ = config_.footprint_bytes / config_.node_bytes;
+  leaf_count_ = config_.footprint_bytes >> kNodeBytesBits;
   // Level sizes from leaf upward: n, n/fanout, ..., 1.
   std::vector<uint64_t> sizes;
   uint64_t n = leaf_count_;
   while (n > 1) {
     sizes.push_back(n);
-    n = (n + static_cast<uint64_t>(config_.fanout) - 1) / static_cast<uint64_t>(config_.fanout);
+    n = (n + kFanout - 1) / kFanout;
   }
   sizes.push_back(1);
   levels_ = static_cast<int>(sizes.size());
   // Allocate root-first so upper levels are contiguous and early in the heap.
   level_base_.resize(sizes.size());
-  level_nodes_.resize(sizes.size());
   for (size_t l = 0; l < sizes.size(); ++l) {
-    const uint64_t nodes = sizes[sizes.size() - 1 - l];  // Root first.
-    level_base_[l] = process.HeapAlloc(nodes * config_.node_bytes);
-    level_nodes_[l] = nodes;
+    level_base_[l] = process.HeapAlloc(sizes[sizes.size() - 1 - l] << kNodeBytesBits);
   }
 }
 
 void BtreeWorkload::NextBatch(int worker, size_t count, Rng& rng, std::vector<AccessOp>* ops) {
   (void)worker;
-  const size_t lookups = count / static_cast<size_t>(levels_);
+  const size_t levels = static_cast<size_t>(levels_);
+  const size_t lookups = count / levels;
+  const size_t first = ops->size();
+  ops->resize(first + lookups * levels);
+  AccessOp* out = ops->data() + first;
   for (size_t i = 0; i < lookups; ++i) {
     const uint64_t key = rng.NextBelow(leaf_count_);
-    // Descend: node index at level l = key / fanout^(levels-1-l).
-    uint64_t divisor = 1;
-    for (int l = levels_ - 1; l >= 1; --l) {
-      divisor *= static_cast<uint64_t>(config_.fanout);
-    }
-    for (int l = 0; l < levels_; ++l) {
-      uint64_t idx = key / divisor;
-      if (idx >= level_nodes_[static_cast<size_t>(l)]) {
-        idx = level_nodes_[static_cast<size_t>(l)] - 1;
-      }
-      ops->push_back(AccessOp{level_base_[static_cast<size_t>(l)] + idx * config_.node_bytes,
-                              /*is_write=*/false});
-      divisor = divisor > 1 ? divisor / static_cast<uint64_t>(config_.fanout) : 1;
+    // Descend: the node at level l is key / fanout^(levels-1-l). Level l
+    // holds ceil(leaf_count_ / fanout^k) nodes for k = levels-1-l, and
+    // key < leaf_count_, so that index is always in range.
+    int shift = kFanoutBits * (levels_ - 1);
+    for (size_t l = 0; l < levels; ++l, shift -= kFanoutBits) {
+      *out++ = AccessOp{level_base_[l] + ((key >> shift) << kNodeBytesBits), /*is_write=*/false};
     }
   }
 }

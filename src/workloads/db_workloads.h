@@ -14,11 +14,9 @@ namespace demeter {
 // In-memory B+tree lookups with uniformly random keys. Upper levels are a
 // small, implicitly hot region (traversal hubs); the leaf level dominates
 // the footprint and is touched uniformly — the "uniform access pattern"
-// class that challenges tiering (§5.3).
+// class that challenges tiering (§5.3). Nodes are 256 bytes with fanout 16.
 struct BtreeConfig {
   uint64_t footprint_bytes = 64 * kMiB;
-  int fanout = 16;
-  uint64_t node_bytes = 256;
 };
 
 class BtreeWorkload : public Workload {
@@ -34,10 +32,13 @@ class BtreeWorkload : public Workload {
   int levels() const { return levels_; }
 
  private:
+  // Powers of two, so a lookup's descent shifts instead of dividing.
+  static constexpr int kFanoutBits = 4;     // 16 children per node.
+  static constexpr int kNodeBytesBits = 8;  // 256-byte nodes.
+
   BtreeConfig config_;
   int levels_ = 0;
-  std::vector<uint64_t> level_base_;   // Address of each level's node array.
-  std::vector<uint64_t> level_nodes_;  // Node count per level.
+  std::vector<uint64_t> level_base_;  // Address of each level's node array.
   uint64_t leaf_count_ = 0;
 };
 

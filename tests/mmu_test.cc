@@ -554,8 +554,13 @@ TEST_P(TlbDifferentialTest, MatchesReferenceOnMixedStream) {
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, TlbDifferentialTest,
+    // Set counts that are not powers of two check SetOf's fastmod against
+    // the reference's `%`; fewer than 8 ways leave recency words partly
+    // unused, which Touch's zero-nibble search must never match.
     ::testing::Values(TlbGeometry{1, 1}, TlbGeometry{1, 4}, TlbGeometry{2, 2},
-                      TlbGeometry{16, 8}, TlbGeometry{1024, 8}),
+                      TlbGeometry{16, 8}, TlbGeometry{1024, 8}, TlbGeometry{3, 3},
+                      TlbGeometry{9, 5}, TlbGeometry{7, 6}, TlbGeometry{5, 7},
+                      TlbGeometry{1, 8}, TlbGeometry{1000, 8}),
     [](const ::testing::TestParamInfo<TlbGeometry>& info) {
       return std::to_string(info.param.num_sets) + "x" + std::to_string(info.param.ways);
     });

@@ -117,6 +117,87 @@ TEST(BtreeWorkload, TraversalTouchesEveryLevel) {
   EXPECT_EQ(roots.size(), 1u);
 }
 
+// The btree descent as it was written with divisions: fanout 16, 256-byte
+// nodes, node index key / 16^(levels-1-l) clamped to the level's last node.
+class ReferenceBtree {
+ public:
+  ReferenceBtree(uint64_t footprint_bytes, GuestProcess& process) {
+    leaf_count_ = footprint_bytes / kNodeBytes;
+    std::vector<uint64_t> sizes;
+    for (uint64_t n = leaf_count_; n > 1; n = (n + kFanout - 1) / kFanout) {
+      sizes.push_back(n);
+    }
+    sizes.push_back(1);
+    for (size_t l = 0; l < sizes.size(); ++l) {
+      const uint64_t nodes = sizes[sizes.size() - 1 - l];
+      level_base_.push_back(process.HeapAlloc(nodes * kNodeBytes));
+      level_nodes_.push_back(nodes);
+    }
+  }
+
+  void NextBatch(size_t count, Rng& rng, std::vector<AccessOp>* ops) const {
+    const size_t levels = level_base_.size();
+    for (size_t i = 0; i < count / levels; ++i) {
+      const uint64_t key = rng.NextBelow(leaf_count_);
+      uint64_t divisor = 1;
+      for (size_t l = 1; l < levels; ++l) {
+        divisor *= kFanout;
+      }
+      for (size_t l = 0; l < levels; ++l) {
+        const uint64_t idx = std::min(key / divisor, level_nodes_[l] - 1);
+        ops->push_back(AccessOp{level_base_[l] + idx * kNodeBytes, /*is_write=*/false});
+        divisor = divisor > 1 ? divisor / kFanout : 1;
+      }
+    }
+  }
+
+  int levels() const { return static_cast<int>(level_base_.size()); }
+
+ private:
+  static constexpr uint64_t kFanout = 16;
+  static constexpr uint64_t kNodeBytes = 256;
+  uint64_t leaf_count_ = 0;
+  std::vector<uint64_t> level_base_;
+  std::vector<uint64_t> level_nodes_;
+};
+
+// BtreeWorkload's shift-based descent emits exactly the reference's ops
+// from the same seed, on trees of 1 to 6 levels whose leaf counts are
+// powers of 16, one below or above one, or neither.
+TEST(BtreeWorkload, DescentMatchesDivisionReference) {
+  GuestKernelConfig kconfig;
+  kconfig.num_nodes = 2;
+  kconfig.node_span_pages = {1 << 20, 1 << 20};
+  kconfig.node_present_pages = {1 << 18, 1 << 19};
+  GuestKernel kernel(kconfig);
+  int seen_levels = 0;
+  for (const uint64_t leaves : {uint64_t{1}, uint64_t{10}, uint64_t{16}, uint64_t{17},
+                                uint64_t{200}, uint64_t{256}, uint64_t{4095}, uint64_t{4097},
+                                uint64_t{40000}, uint64_t{65536}, uint64_t{1000003}}) {
+    const uint64_t footprint = leaves * 256 + leaves % 256;  // A partial node rounds down.
+    BtreeWorkload btree(BtreeConfig{.footprint_bytes = footprint});
+    Rng setup_rng(1);
+    btree.Setup(kernel.CreateProcess(), setup_rng);
+    const ReferenceBtree ref(footprint, kernel.CreateProcess());
+    ASSERT_EQ(btree.levels(), ref.levels()) << leaves << " leaves";
+    seen_levels = std::max(seen_levels, btree.levels());
+    Rng rng(0xb7 + leaves);
+    Rng ref_rng(0xb7 + leaves);
+    std::vector<AccessOp> got = {AccessOp{1, true}};  // NextBatch appends.
+    std::vector<AccessOp> want = got;
+    for (const size_t count : {size_t{1}, size_t{7}, size_t{1000}, size_t{4096}}) {
+      btree.NextBatch(0, count, rng, &got);
+      ref.NextBatch(count, ref_rng, &want);
+    }
+    ASSERT_EQ(got.size(), want.size()) << leaves << " leaves";
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].gva, want[i].gva) << leaves << " leaves, op " << i;
+      ASSERT_EQ(got[i].is_write, want[i].is_write) << leaves << " leaves, op " << i;
+    }
+  }
+  EXPECT_EQ(seen_levels, 6);
+}
+
 TEST(SiloWorkload, HotspotDriftsOverTime) {
   SiloConfig config;
   config.footprint_bytes = 16 * kMiB;
