@@ -27,7 +27,8 @@ namespace {
 // Rng::NextZipf at silo's two (n, theta) pairs for a VM footprint of
 // Arg MiB (SiloYcsb: 1/16 index at 64 B slots, theta 0.6; 1 KiB records,
 // theta 0.9), interleaved 3:4 like one silo transaction. Arg 24 is
-// kv-zipf's footprint (32 MiB VMs, 3/4 of memory).
+// kv-zipf's footprint (32 MiB VMs, 3/4 of memory), Arg 12 fleet-ha's
+// (16 MiB VMs).
 void BM_RngNextZipf(benchmark::State& state) {
   const uint64_t footprint = static_cast<uint64_t>(state.range(0)) * kMiB;
   const uint64_t index_bytes = PageCeil(footprint / 16);
@@ -44,7 +45,7 @@ void BM_RngNextZipf(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 7);
 }
-BENCHMARK(BM_RngNextZipf)->Arg(24);
+BENCHMARK(BM_RngNextZipf)->Arg(12)->Arg(24);
 
 void BM_RangeTreeRecordSample(benchmark::State& state) {
   RangeTree tree;

@@ -1,41 +1,13 @@
 #include "src/base/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace demeter {
 
-namespace {
+CheckFailure::CheckFailure(const char* file, int line) : file_(file), line_(line) {}
 
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kInfo)};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kFatal:
-      return "FATAL";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void SetLogLevel(LogLevel level) { g_log_level.store(static_cast<int>(level)); }
-
-LogLevel GetLogLevel() { return static_cast<LogLevel>(g_log_level.load()); }
-
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level), file_(file), line_(line) {}
-
-LogMessage::~LogMessage() {
+CheckFailure::~CheckFailure() {
   // Strip the directory prefix for readability.
   const char* base = file_;
   for (const char* p = file_; *p != '\0'; ++p) {
@@ -43,11 +15,9 @@ LogMessage::~LogMessage() {
       base = p + 1;
     }
   }
-  std::fprintf(stderr, "[%s %s:%d] %s\n", LevelName(level_), base, line_, stream_.str().c_str());
-  if (level_ == LogLevel::kFatal) {
-    std::fflush(stderr);
-    std::abort();
-  }
+  std::fprintf(stderr, "[FATAL %s:%d] %s\n", base, line_, stream_.str().c_str());
+  std::fflush(stderr);
+  std::abort();
 }
 
 }  // namespace demeter

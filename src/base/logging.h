@@ -1,4 +1,4 @@
-// Minimal logging and invariant-checking support.
+// Invariant checking.
 //
 // DEMETER_CHECK(cond) aborts on violation in every build type: simulation
 // invariants (page accounting, tree structure) must never be silently wrong,
@@ -7,64 +7,34 @@
 #ifndef DEMETER_SRC_BASE_LOGGING_H_
 #define DEMETER_SRC_BASE_LOGGING_H_
 
-#include <cstdint>
 #include <sstream>
-#include <string>
 
 namespace demeter {
 
-enum class LogLevel : int {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-  kFatal = 4,
-};
-
-// Global log threshold; messages below it are discarded. Defaults to kInfo.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
-// Internal: stream-collecting message sink that emits on destruction.
-class LogMessage {
+// Internal: collects a failed check's message, then prints it as
+// "[FATAL file:line] ..." and aborts on destruction.
+class CheckFailure {
  public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
+  CheckFailure(const char* file, int line);
+  ~CheckFailure();
 
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
+  CheckFailure(const CheckFailure&) = delete;
+  CheckFailure& operator=(const CheckFailure&) = delete;
 
   std::ostringstream& stream() { return stream_; }
 
  private:
-  LogLevel level_;
   const char* file_;
   int line_;
   std::ostringstream stream_;
 };
 
-// Discards everything streamed into it; used for disabled log levels.
-class NullStream {
- public:
-  template <typename T>
-  NullStream& operator<<(const T&) {
-    return *this;
-  }
-};
-
 }  // namespace demeter
 
-#define DEMETER_LOG(level)                                                          \
-  if (static_cast<int>(::demeter::LogLevel::k##level) <                             \
-      static_cast<int>(::demeter::GetLogLevel())) {                                 \
-  } else                                                                            \
-    ::demeter::LogMessage(::demeter::LogLevel::k##level, __FILE__, __LINE__).stream()
-
-#define DEMETER_CHECK(cond)                                                         \
-  if (cond) {                                                                       \
-  } else                                                                            \
-    ::demeter::LogMessage(::demeter::LogLevel::kFatal, __FILE__, __LINE__).stream() \
-        << "Check failed: " #cond " "
+#define DEMETER_CHECK(cond)                                                   \
+  if (cond) {                                                                 \
+  } else                                                                      \
+    ::demeter::CheckFailure(__FILE__, __LINE__).stream() << "Check failed: " #cond " "
 
 #define DEMETER_CHECK_EQ(a, b) DEMETER_CHECK((a) == (b)) << "(" << (a) << " vs " << (b) << ") "
 #define DEMETER_CHECK_NE(a, b) DEMETER_CHECK((a) != (b)) << "(" << (a) << " vs " << (b) << ") "

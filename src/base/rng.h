@@ -19,6 +19,75 @@ constexpr uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+// The constants of Zipf(n, theta) rejection-inversion sampling (Hörmann &
+// Derflinger 1996): five pow() evaluations that depend only on (n, theta).
+struct ZipfSetup {
+  ZipfSetup() = default;
+  ZipfSetup(uint64_t n, double theta);
+
+  uint64_t n = 0;
+  double theta = 0.0;
+  double q = 0.0;
+  double one_minus_q = 0.0;
+  double one_minus_q_inv = 0.0;
+  double h_x1 = 0.0;
+  double h_n = 0.0;
+  double s = 0.0;
+};
+
+// One pass of NextZipf's rejection loop on the uniform integer
+// bits = Next() >> 11, in two steps: ZipfInvert maps bits to the uniform u
+// and x = h_inv(u) (the pass's one pow()), and ZipfTrial rounds x to a rank
+// k in [1, n] and returns k, with kZipfRejected set when the pass rejects it.
+struct ZipfPoint {
+  double u;
+  double x;
+};
+constexpr uint64_t kZipfRejected = uint64_t{1} << 63;
+ZipfPoint ZipfInvert(const ZipfSetup& setup, uint64_t bits);
+uint64_t ZipfTrial(const ZipfSetup& setup, ZipfPoint point);
+
+// The guide table of (n, theta) (Chen & Asau 1974): one cell per value of
+// the top kZipfTableBits bits of `bits`. A cell holds the rank when every
+// `bits` in it gives that accepted rank, kZipfCellReject when every one
+// rejects, and kZipfCellMixed otherwise, so NextZipf consumes the same
+// Next() values and returns the same ranks with or without the table. A
+// cell is one byte, an offset from its block's base rank (a block is 256
+// cells), so a pair's table takes 64.5 KiB; a cell whose rank lies 254 or
+// more above its block's lowest is left mixed.
+//
+// The build evaluates ZipfInvert once at each of the 65,537 cell edges. u
+// is monotone in bits, and the exact pow() of u's base is monotone too, so
+// every draw in a cell has u between its edges' u and x within pow()'s
+// error (under 1 ULP) of the interval between the edges' x. ZipfTrial's
+// rounding and its squeeze test are monotone in x and its other test is
+// monotone in u, so a cell is filled only when ZipfTrial agrees at the two
+// extreme corners of that box, each edge x moved outward by 4 ULP.
+// Exactness needs pow() to stay within that margin, not to be monotone.
+//
+// Tables live in one process-wide registry keyed by (n, bit pattern of
+// theta), are built on first use and are never freed. ZipfTableFor returns
+// nullptr when n > kZipfTableMaxN, since block bases are uint16_t ranks.
+constexpr int kZipfTableBits = 16;
+constexpr uint64_t kZipfCells = uint64_t{1} << kZipfTableBits;
+// The cell of `bits` is bits >> kZipfCellShift.
+constexpr int kZipfCellShift = 53 - kZipfTableBits;
+constexpr int kZipfBlockBits = 8;
+constexpr uint64_t kZipfTableMaxN = 65536;
+constexpr uint8_t kZipfCellMixed = 0;
+constexpr uint8_t kZipfCellReject = 0xFF;
+
+struct ZipfTable {
+  // The rank of a cell that is neither mixed nor reject.
+  uint64_t Rank(uint64_t cell) const {
+    return block_base[cell >> kZipfBlockBits] + cells[cell] - 1;
+  }
+
+  uint16_t block_base[kZipfCells >> kZipfBlockBits];
+  uint8_t cells[kZipfCells];
+};
+const ZipfTable* ZipfTableFor(const ZipfSetup& setup);
+
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x5eed5eed5eed5eedULL) { Seed(seed); }
@@ -65,27 +134,18 @@ class Rng {
  private:
   static constexpr uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
-  // The rejection-inversion setup needs five pow() evaluations that depend
-  // only on (n, theta). Workloads draw millions of ranks from a handful of
-  // fixed distributions, so a small cache of those constants removes the
-  // dominant libm cost of every Zipf draw. Pure memoization: the cached
-  // values are produced by exactly the expressions the uncached path runs,
-  // so every draw consumes the same uniforms and returns the same rank.
-  struct ZipfSetup {
-    uint64_t n = 0;
-    double theta = 0.0;
-    bool valid = false;
-    double q = 0.0;
-    double one_minus_q = 0.0;
-    double one_minus_q_inv = 0.0;
-    double h_x1 = 0.0;
-    double h_n = 0.0;
-    double s = 0.0;
+  // Workloads draw millions of ranks from a handful of fixed distributions,
+  // so a small round-robin cache keeps each pair's setup and guide table,
+  // fetched when the slot is filled. n == 0 marks an empty slot (NextZipf
+  // never caches n <= 1).
+  struct ZipfSlot {
+    ZipfSetup setup;
+    const ZipfTable* table = nullptr;
   };
   static constexpr int kZipfCacheSlots = 4;
 
   uint64_t state_[4];
-  ZipfSetup zipf_cache_[kZipfCacheSlots];
+  ZipfSlot zipf_cache_[kZipfCacheSlots];
   int zipf_next_slot_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cmath>
 #include <future>
 #include <memory>
@@ -103,6 +104,166 @@ TEST(Rng, ZipfIsSkewedTowardLowRanks) {
   }
   // Zipf(0.99): the top 10% of ranks should absorb well over half the draws.
   EXPECT_GT(in_top_decile, kDraws / 2);
+}
+
+// ------------------------------------------------------- Zipf guide table
+
+// Rng::NextZipf's rejection-inversion loop as it was before the guide
+// table, written out from scratch and fed by `rng`'s NextDouble().
+class LoopZipf {
+ public:
+  LoopZipf(uint64_t n, double theta) : n_(n) {
+    q_ = theta;
+    if (q_ == 1.0) {
+      q_ = 1.0 + 1e-9;
+    }
+    h_x1_ = H(1.5) - 1.0;
+    h_n_ = H(static_cast<double>(n) + 0.5);
+    s_ = 2.0 - HInv(H(2.5) - std::pow(2.0, -q_));
+  }
+
+  uint64_t Draw(Rng& rng) const {
+    for (;;) {
+      const double u = h_n_ + rng.NextDouble() * (h_x1_ - h_n_);
+      const double x = HInv(u);
+      uint64_t k = static_cast<uint64_t>(x + 0.5);
+      if (k < 1) {
+        k = 1;
+      } else if (k > n_) {
+        k = n_;
+      }
+      const double kd = static_cast<double>(k);
+      if (kd - x <= s_ || u >= H(kd + 0.5) - std::pow(kd, -q_)) {
+        return k - 1;
+      }
+    }
+  }
+
+ private:
+  double H(double x) const { return std::pow(x, 1.0 - q_) * (1.0 / (1.0 - q_)); }
+  double HInv(double x) const { return std::pow((1.0 - q_) * x, 1.0 / (1.0 - q_)); }
+
+  uint64_t n_;
+  double q_;
+  double h_x1_;
+  double h_n_;
+  double s_;
+};
+
+struct ZipfPair {
+  uint64_t n;
+  double theta;
+};
+
+// Every pair the tree draws with a table, plus the edges of the table's
+// range: silo's index and record pairs at kv-zipf's 24 MiB and fleet-ha's
+// 12 MiB footprints, theta 1 (nudged q), and the smallest and largest n.
+constexpr ZipfPair kTablePairs[] = {
+    {24576, 0.6}, {23040, 0.9}, {12288, 0.6}, {11520, 0.9}, {1000, 0.99},
+    {1000, 1.0},  {2, 0.6},     {3, 0.9},     {kZipfTableMaxN, 0.99},
+};
+
+TEST(ZipfTable, FilledCellsMatchTheLoopAtBothEdges) {
+  for (const ZipfPair& pair : kTablePairs) {
+    SCOPED_TRACE(testing::Message() << "n=" << pair.n << " theta=" << pair.theta);
+    const ZipfSetup setup(pair.n, pair.theta);
+    const ZipfTable* table = ZipfTableFor(setup);
+    ASSERT_NE(table, nullptr);
+    uint64_t filled = 0;
+    uint64_t mismatches = 0;
+    for (uint64_t cell = 0; cell < kZipfCells; ++cell) {
+      const uint8_t entry = table->cells[cell];
+      if (entry == kZipfCellMixed) {
+        continue;
+      }
+      ++filled;
+      for (const uint64_t edge : {cell, cell + 1}) {
+        const uint64_t trial = ZipfTrial(setup, ZipfInvert(setup, edge << kZipfCellShift));
+        const bool match = entry == kZipfCellReject ? (trial & kZipfRejected) != 0
+                                                    : trial == table->Rank(cell) + 1;
+        if (!match && mismatches++ == 0) {
+          ADD_FAILURE() << "cell " << cell << " holds " << int{entry} << ", edge " << edge
+                        << " gives " << trial;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_GT(filled, 0u);
+  }
+}
+
+TEST(ZipfTable, NoTableAboveMaxN) {
+  EXPECT_EQ(ZipfTableFor(ZipfSetup(kZipfTableMaxN + 1, 0.99)), nullptr);
+}
+
+// Compares `draws` ranks of `rng` at `pair` with the loop fed by `twin`.
+void ExpectSameZipfStream(Rng& rng, Rng& twin, const ZipfPair& pair, uint64_t draws) {
+  const LoopZipf loop(pair.n, pair.theta);
+  for (uint64_t d = 0; d < draws; ++d) {
+    const uint64_t rank = rng.NextZipf(pair.n, pair.theta);
+    const uint64_t want = loop.Draw(twin);
+    if (rank != want) {
+      ADD_FAILURE() << "n=" << pair.n << " theta=" << pair.theta << " draw " << d << ": rank "
+                    << rank << ", the loop gives " << want;
+      return;
+    }
+  }
+}
+
+TEST(ZipfTable, NextZipfMatchesTheLoop) {
+  // 250k draws per pair, 2.25M per seed.
+  for (const uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    Rng twin(seed);
+    for (const ZipfPair& pair : kTablePairs) {
+      ExpectSameZipfStream(rng, twin, pair, 250000);
+    }
+    EXPECT_EQ(rng.Next(), twin.Next());
+  }
+}
+
+TEST(ZipfTable, EvictedSlotRefillsWithTheSameStream) {
+  // Four pairs fill the four slots, each with its table; the fifth evicts
+  // the first, which then refills (and evicts the second).
+  Rng rng(7);
+  Rng twin(7);
+  for (int p = 0; p < 5; ++p) {
+    ExpectSameZipfStream(rng, twin, kTablePairs[p], 5000);
+  }
+  ExpectSameZipfStream(rng, twin, kTablePairs[0], 5000);
+  ExpectSameZipfStream(rng, twin, kTablePairs[1], 5000);
+  EXPECT_EQ(rng.Next(), twin.Next());
+}
+
+TEST(ZipfTable, ConcurrentFirstUseDrawsTheSingleThreadStream) {
+  // A pair no other test draws, so its table is built here: four threads
+  // draw it for the first time together and race to the registry.
+  constexpr ZipfPair kPair{4321, 0.75};
+  constexpr int kThreads = 4;
+  constexpr uint64_t kDraws = 100000;
+  std::vector<std::vector<uint64_t>> streams(kThreads);
+  std::barrier sync(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(100 + t);
+      sync.arrive_and_wait();
+      for (uint64_t d = 0; d < kDraws; ++d) {
+        streams[t].push_back(rng.NextZipf(kPair.n, kPair.theta));
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  const LoopZipf loop(kPair.n, kPair.theta);
+  for (int t = 0; t < kThreads; ++t) {
+    Rng twin(100 + t);
+    ASSERT_EQ(streams[t].size(), kDraws);
+    for (size_t d = 0; d < streams[t].size(); ++d) {
+      ASSERT_EQ(streams[t][d], loop.Draw(twin)) << "thread " << t << " draw " << d;
+    }
+  }
 }
 
 TEST(Histogram, EmptyIsZero) {
