@@ -4,9 +4,9 @@
 //
 // The tenant mix is deliberately churny: policies alternate between Demeter
 // and TPP, every eighth VM boots deferred, and every fifth departs as soon
-// as it hits its target — so the machine's active list changes constantly
-// while the run is in flight (ActivateVm / DeactivateVm under load, not
-// just at boot). The headline table on stdout reports per-count aggregate
+// as it hits its target — so the machine's active set changes constantly
+// while the run is in flight (boots and departures under load, not just at
+// start). The headline table on stdout reports per-count aggregate
 // throughput. The host-side wall clock and its growth ratio between
 // consecutive tenant counts go to stderr, because they differ from run to
 // run and stdout stays byte-identical: a dense host must scale ~linearly

@@ -131,7 +131,7 @@ const VmRunResult& Cluster::result(int i) const {
   return hosts_[static_cast<size_t>(loc.host)]->result(loc.index);
 }
 
-std::vector<HostLoad> Cluster::Loads(const std::vector<Reservation>& reserved,
+std::vector<HostLoad> Cluster::Loads(const std::vector<LiveMigrator::Commitment>& reserved,
                                      const std::vector<int>& assigned_vms) const {
   // Live free counts overstate real headroom: a lazily-backed VM maps pages
   // as it touches them, so a freshly admitted tenant looks nearly weightless
@@ -140,7 +140,7 @@ std::vector<HostLoad> Cluster::Loads(const std::vector<Reservation>& reserved,
   // hot-set share and the far-tier remainder) minus what it has already
   // mapped, and charge in-flight migrations' full commitment to their
   // destination — stop-and-copy will materialize it all at once.
-  std::vector<Reservation> committed(hosts_.size());
+  std::vector<LiveMigrator::Commitment> committed = migrator_->DstCommitments();
   for (size_t i = 0; i < setups_.size(); ++i) {
     const ClusterVmLocation& loc = locations_[i];
     if (loc.host < 0 || !hosts_[static_cast<size_t>(loc.host)]->VmActive(loc.index)) {
@@ -149,14 +149,6 @@ std::vector<HostLoad> Cluster::Loads(const std::vector<Reservation>& reserved,
     const uint64_t share = FmemShareFor(setups_[i]);
     committed[static_cast<size_t>(loc.host)].fmem_pages += share;
     committed[static_cast<size_t>(loc.host)].far_pages += PagesFor(setups_[i]) - share;
-  }
-  // In-flight migrations come from the migrator's ledger, charged at Begin
-  // and released exactly once when a migration retires — not recomputed
-  // from the routes, so an aborted migration's claim cannot linger.
-  const std::vector<LiveMigrator::Commitment>& inflight = migrator_->DstCommitments();
-  for (size_t h = 0; h < hosts_.size(); ++h) {
-    committed[h].fmem_pages += inflight[h].fmem_pages;
-    committed[h].far_pages += inflight[h].far_pages;
   }
   std::vector<HostLoad> loads(hosts_.size());
   for (size_t h = 0; h < hosts_.size(); ++h) {
@@ -184,7 +176,7 @@ std::vector<HostLoad> Cluster::Loads(const std::vector<Reservation>& reserved,
     // Uncommitted growth plus same-batch reservations drain each tier's
     // own share; FMEM overflow spills to far, like the first-touch
     // allocations they model.
-    const Reservation& c = committed[h];
+    const LiveMigrator::Commitment& c = committed[h];
     const uint64_t growth_fmem =
         c.fmem_pages > used_fmem ? c.fmem_pages - used_fmem : 0;
     const uint64_t growth_far =
@@ -198,7 +190,8 @@ std::vector<HostLoad> Cluster::Loads(const std::vector<Reservation>& reserved,
   return loads;
 }
 
-int Cluster::PlaceVm(const VmSetup& setup, const std::vector<Reservation>& reserved,
+int Cluster::PlaceVm(const VmSetup& setup,
+                     const std::vector<LiveMigrator::Commitment>& reserved,
                      const std::vector<int>& assigned_vms) {
   const std::vector<HostLoad> loads = Loads(reserved, assigned_vms);
   int h = placer_.PickHost(loads, PagesFor(setup), FmemShareFor(setup));
@@ -217,7 +210,7 @@ int Cluster::PlaceVm(const VmSetup& setup, const std::vector<Reservation>& reser
 }
 
 void Cluster::PlaceDue(Nanos now) {
-  const std::vector<Reservation> no_reserved(hosts_.size());
+  const std::vector<LiveMigrator::Commitment> no_reserved(hosts_.size());
   const std::vector<int> no_assigned(hosts_.size(), 0);
   std::vector<PendingVm> later;
   later.reserve(pending_.size());
@@ -281,8 +274,8 @@ void Cluster::MaybeEvacuate(Nanos now, int64_t barrier) {
         break;
       }
     }
-    std::vector<HostLoad> loads =
-        Loads(std::vector<Reservation>(hosts_.size()), std::vector<int>(hosts_.size(), 0));
+    std::vector<HostLoad> loads = Loads(std::vector<LiveMigrator::Commitment>(hosts_.size()),
+                                        std::vector<int>(hosts_.size(), 0));
     loads[static_cast<size_t>(h)].excluded = true;  // Shrinking also vetoes.
     const int dst = placer_.PickHost(loads, victim_pages, victim_fmem);
     cooldown_until_[static_cast<size_t>(h)] = barrier + setup_.migration.cooldown_epochs;
@@ -321,8 +314,8 @@ void Cluster::DetectHostFailures(Nanos now, int64_t barrier) {
       continue;
     }
     // Fail-stop: fence first (placement exclusion is via health.down; every
-    // in-flight route touching the host is torn down with its commitment
-    // released), then kill the residents. Fencing precedes the migrator's
+    // in-flight route touching the host is torn down, and its commitment
+    // with it), then kill the residents. Fencing precedes the migrator's
     // Advance so a doomed route is never mistaken for a cancel or charged
     // another pre-copy round against a dead machine.
     health.down = true;
@@ -342,19 +335,10 @@ void Cluster::DetectHostFailures(Nanos now, int64_t barrier) {
       ++health.migration_aborts;
       const int spec = SpecIndexOf(route.src_host, route.src_vm);
       if (spec >= 0 && setup_.migration.max_retries > 0) {
-        RetryEntry* standing = nullptr;
-        for (RetryEntry& entry : retry_queue_) {
-          if (entry.spec_index == spec) {
-            standing = &entry;
-            break;
-          }
-        }
-        if (standing == nullptr) {
-          retry_queue_.push_back(RetryEntry{spec, 0, barrier + 1, false});
-        } else {
-          standing->inflight = false;
-          standing->next_attempt_barrier = barrier + 1;
-        }
+        // Not an abort of the route itself: no attempt is charged.
+        RetryEntry& entry = RetryEntryFor(spec);
+        entry.inflight = false;
+        entry.next_attempt_barrier = barrier + 1;
       }
     }
     Machine& machine = *hosts_[static_cast<size_t>(h)];
@@ -396,7 +380,7 @@ void Cluster::ProcessRestartQueue(Nanos now, int64_t barrier) {
     // control exists to prevent.
     VmSetup setup = setups_[static_cast<size_t>(entry.spec_index)];
     setup.boot_at = 0;
-    const std::vector<Reservation> no_reserved(hosts_.size());
+    const std::vector<LiveMigrator::Commitment> no_reserved(hosts_.size());
     const std::vector<int> no_assigned(hosts_.size(), 0);
     const int h = placer_.PickHost(Loads(no_reserved, no_assigned), PagesFor(setup),
                                    FmemShareFor(setup));
@@ -433,23 +417,12 @@ void Cluster::ProcessMigrationRetries(Nanos now, int64_t barrier) {
     if (spec < 0) {
       continue;
     }
-    RetryEntry* standing = nullptr;
-    for (RetryEntry& entry : retry_queue_) {
-      if (entry.spec_index == spec) {
-        standing = &entry;
-        break;
-      }
-    }
-    if (standing == nullptr) {
-      retry_queue_.push_back(
-          RetryEntry{spec, 1, barrier + setup_.migration.retry_backoff_epochs, false});
-    } else {
-      // A re-aborted attempt (round-0 or mid-copy) lands back here and
-      // accumulates; resetting would let a flaky route retry forever.
-      ++standing->attempts;
-      standing->inflight = false;
-      standing->next_attempt_barrier = barrier + setup_.migration.retry_backoff_epochs;
-    }
+    // A re-aborted attempt (round-0 or mid-copy) lands back on its standing
+    // entry and accumulates; resetting would let a flaky route retry forever.
+    RetryEntry& entry = RetryEntryFor(spec);
+    ++entry.attempts;
+    entry.inflight = false;
+    entry.next_attempt_barrier = barrier + setup_.migration.retry_backoff_epochs;
   }
   if (retry_queue_.empty()) {
     return;
@@ -482,8 +455,8 @@ void Cluster::ProcessMigrationRetries(Nanos now, int64_t barrier) {
     // excluded (and any down host implicitly, via Eligible).
     const uint64_t pages = PagesFor(setups_[static_cast<size_t>(entry.spec_index)]);
     const uint64_t fmem = FmemShareFor(setups_[static_cast<size_t>(entry.spec_index)]);
-    std::vector<HostLoad> loads =
-        Loads(std::vector<Reservation>(hosts_.size()), std::vector<int>(hosts_.size(), 0));
+    std::vector<HostLoad> loads = Loads(std::vector<LiveMigrator::Commitment>(hosts_.size()),
+                                        std::vector<int>(hosts_.size(), 0));
     loads[static_cast<size_t>(loc.host)].excluded = true;
     const int dst = placer_.PickHost(loads, pages, fmem);
     if (dst < 0) {
@@ -511,6 +484,15 @@ void Cluster::ProcessMigrationRetries(Nanos now, int64_t barrier) {
   retry_queue_ = std::move(keep);
 }
 
+Cluster::RetryEntry& Cluster::RetryEntryFor(int spec) {
+  for (RetryEntry& entry : retry_queue_) {
+    if (entry.spec_index == spec) {
+      return entry;
+    }
+  }
+  return retry_queue_.emplace_back(RetryEntry{spec});
+}
+
 void Cluster::AuditHaInvariants() const {
   std::vector<bool> down(hosts_.size(), false);
   std::vector<int> active(hosts_.size(), 0);
@@ -522,13 +504,8 @@ void Cluster::AuditHaInvariants() const {
   for (const LiveMigrator::Completion& route : migrator_->InflightRoutes()) {
     routes.push_back({route.src_host, route.dst_host});
   }
-  std::vector<InvariantChecker::CommitmentEntry> ledger;
-  const std::vector<LiveMigrator::Commitment>& committed = migrator_->DstCommitments();
-  for (size_t h = 0; h < committed.size(); ++h) {
-    ledger.push_back({static_cast<int>(h), committed[h].fmem_pages, committed[h].far_pages});
-  }
   InvariantReport report;
-  InvariantChecker::CheckHostFencing(down, active, routes, ledger, &report);
+  InvariantChecker::CheckHostFencing(down, active, routes, &report);
   InvariantChecker::CheckRestartConservation(vms_killed_, vms_restarted_, restart_queue_.size(),
                                              vms_lost_, &report);
   DEMETER_CHECK(report.ok()) << "host-failure invariants: " << report.Join();
@@ -550,7 +527,7 @@ void Cluster::Run() {
   }
 
   // Place boot-at-zero VMs up front, in spec order; queue deferred boots.
-  std::vector<Reservation> reserved(hosts_.size());
+  std::vector<LiveMigrator::Commitment> reserved(hosts_.size());
   std::vector<int> assigned(hosts_.size(), 0);
   for (size_t i = 0; i < setups_.size(); ++i) {
     const VmSetup& setup = setups_[i];
@@ -628,8 +605,6 @@ void Cluster::Run() {
     ProcessMigrationRetries(t, barrier);
     MaybeEvacuate(t, barrier);
     if (check_invariants_) {
-      const InvariantReport report = migrator_->AuditCommitments();
-      DEMETER_CHECK(report.ok()) << "commitment conservation: " << report.Join();
       AuditHaInvariants();
     }
   }

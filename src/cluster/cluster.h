@@ -125,7 +125,7 @@ class Cluster {
 
   // ---- host-failure recovery ledger ---------------------------------------
   // Conservation: vms_killed == vms_restarted + restart_queue_depth +
-  // vms_lost at every barrier (invariant 11, audited under --check).
+  // vms_lost at every barrier (invariant 10, audited under --check).
   uint64_t hosts_failed() const { return hosts_failed_; }
   uint64_t vms_killed() const { return vms_killed_; }
   uint64_t vms_restarted() const { return vms_restarted_; }
@@ -174,22 +174,15 @@ class Cluster {
     bool inflight = false;             // A retry attempt is mid-copy now.
   };
 
-  // A not-yet-provisioned commitment against one host, split the way the
-  // VM's pages will land: its FMEM hot-set share and the far remainder.
-  struct Reservation {
-    uint64_t fmem_pages = 0;
-    uint64_t far_pages = 0;
-  };
-
   // Live load summary for every host; `reserved`/`assigned` fold in VMs
   // placed earlier in the same pre-run batch (not yet provisioned).
-  std::vector<HostLoad> Loads(const std::vector<Reservation>& reserved,
+  std::vector<HostLoad> Loads(const std::vector<LiveMigrator::Commitment>& reserved,
                               const std::vector<int>& assigned_vms) const;
   // Places a VM with `setup`'s footprint on the best host; falls back to
   // the roomiest *live* host when no host is eligible (a VM must run
   // somewhere, but never on a down/excluded host). Returns -1 only when
   // every host is down or excluded — the caller defers the boot.
-  int PlaceVm(const VmSetup& setup, const std::vector<Reservation>& reserved,
+  int PlaceVm(const VmSetup& setup, const std::vector<LiveMigrator::Commitment>& reserved,
               const std::vector<int>& assigned_vms);
   void PlaceDue(Nanos now);
   void MaybeEvacuate(Nanos now, int64_t barrier);
@@ -206,7 +199,10 @@ class Cluster {
   // migration.max_retries > 0) and re-plans due entries toward a fresh
   // destination.
   void ProcessMigrationRetries(Nanos now, int64_t barrier);
-  // Invariant families 10 + 11 (down-host fencing, restart conservation).
+  // The retry queue's standing entry for spec VM `spec`, appended with no
+  // attempts when there is none.
+  RetryEntry& RetryEntryFor(int spec);
+  // Invariant families 9 + 10 (down-host fencing, restart conservation).
   void AuditHaInvariants() const;
 
   ClusterSetup setup_;

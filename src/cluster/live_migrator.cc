@@ -16,9 +16,7 @@ constexpr double kWireNsPerPage = 600.0;
 
 LiveMigrator::LiveMigrator(const MigrationConfig& config,
                            std::vector<std::unique_ptr<Machine>>& hosts, FaultInjector* faults)
-    : config_(config), hosts_(hosts), faults_(faults) {
-  dst_committed_.resize(hosts_.size());
-}
+    : config_(config), hosts_(hosts), faults_(faults) {}
 
 std::vector<LiveMigrator::Completion> LiveMigrator::InflightRoutes() const {
   std::vector<Completion> routes;
@@ -27,6 +25,16 @@ std::vector<LiveMigrator::Completion> LiveMigrator::InflightRoutes() const {
     routes.push_back(Completion{m.src_host, m.src_vm, m.dst_host, -1});
   }
   return routes;
+}
+
+std::vector<LiveMigrator::Commitment> LiveMigrator::DstCommitments() const {
+  std::vector<Commitment> committed(hosts_.size());
+  for (const Inflight& m : inflight_) {
+    Commitment& held = committed[static_cast<size_t>(m.dst_host)];
+    held.fmem_pages += m.commitment.fmem_pages;
+    held.far_pages += m.commitment.far_pages;
+  }
+  return committed;
 }
 
 bool LiveMigrator::Migrating(int host, int vm) const {
@@ -66,33 +74,6 @@ LiveMigrator::RoundResult LiveMigrator::CopyRound(Machine& src, int vm_idx, bool
   return round;
 }
 
-void LiveMigrator::ReleaseCommitment(const Inflight& m) {
-  Commitment& held = dst_committed_[static_cast<size_t>(m.dst_host)];
-  DEMETER_CHECK_GE(held.fmem_pages, m.commitment.fmem_pages)
-      << "commitment double-release (fmem) toward host " << m.dst_host;
-  DEMETER_CHECK_GE(held.far_pages, m.commitment.far_pages)
-      << "commitment double-release (far) toward host " << m.dst_host;
-  held.fmem_pages -= m.commitment.fmem_pages;
-  held.far_pages -= m.commitment.far_pages;
-}
-
-InvariantReport LiveMigrator::AuditCommitments() const {
-  std::vector<InvariantChecker::CommitmentEntry> inflight;
-  inflight.reserve(inflight_.size());
-  for (const Inflight& m : inflight_) {
-    inflight.push_back({m.dst_host, m.commitment.fmem_pages, m.commitment.far_pages});
-  }
-  std::vector<InvariantChecker::CommitmentEntry> ledger;
-  ledger.reserve(dst_committed_.size());
-  for (size_t h = 0; h < dst_committed_.size(); ++h) {
-    ledger.push_back(
-        {static_cast<int>(h), dst_committed_[h].fmem_pages, dst_committed_[h].far_pages});
-  }
-  InvariantReport report;
-  InvariantChecker::CheckCommitmentConservation(inflight, ledger, &report);
-  return report;
-}
-
 bool LiveMigrator::Begin(int src_host, int src_vm, int dst_host, const Commitment& commitment,
                          Nanos now) {
   DEMETER_CHECK(src_host != dst_host) << "migration must change hosts";
@@ -124,12 +105,8 @@ bool LiveMigrator::Begin(int src_host, int src_vm, int dst_host, const Commitmen
     aborted_routes_.push_back(Completion{m.src_host, m.src_vm, m.dst_host, -1});
     return false;
   }
-  // The destination is charged only once the migration is actually in
-  // flight — a round-0 abort never touched the ledger, so there is nothing
-  // to release on that path.
-  Commitment& held = dst_committed_[static_cast<size_t>(dst_host)];
-  held.fmem_pages += m.commitment.fmem_pages;
-  held.far_pages += m.commitment.far_pages;
+  // The destination is charged from here: a round-0 abort never joins the
+  // in-flight list, so it never holds a commitment.
   inflight_.push_back(m);
   return true;
 }
@@ -144,7 +121,6 @@ std::vector<LiveMigrator::Completion> LiveMigrator::Advance(Nanos now) {
       // The VM reached its target (or departed) before converging; the
       // migration evaporates — its resources were torn down by FinishVm.
       ++stats_.cancelled;
-      ReleaseCommitment(m);
       continue;
     }
     const RoundResult round = CopyRound(src, m.src_vm, /*full=*/false, now);
@@ -154,12 +130,8 @@ std::vector<LiveMigrator::Completion> LiveMigrator::Advance(Nanos now) {
     m.copy_ns += round.ns;
     if (m.abort_armed && m.copy_ns >= static_cast<double>(m.abort_after)) {
       // Mid-copy failure: the source VM keeps running untouched (leak-free
-      // by construction — extraction never started). The destination charge
-      // is released here and only here — historically placement recomputed
-      // commitments from the in-flight routes, which let an abort's charge
-      // linger for the rest of the barrier epoch.
+      // by construction — extraction never started).
       ++stats_.aborted;
-      ReleaseCommitment(m);
       aborted_routes_.push_back(Completion{m.src_host, m.src_vm, m.dst_host, -1});
       continue;
     }
@@ -174,9 +146,6 @@ std::vector<LiveMigrator::Completion> LiveMigrator::Advance(Nanos now) {
     const int dst_vm = dst.AdoptVm(std::move(moved), now, round.ns);
     ++stats_.completed;
     stats_.downtime_ns_total += static_cast<uint64_t>(round.ns);
-    // The adopted VM's real allocations now carry the weight; the ledger
-    // claim is spent.
-    ReleaseCommitment(m);
     done.push_back(Completion{m.src_host, m.src_vm, m.dst_host, dst_vm});
   }
   inflight_ = std::move(keep);
@@ -193,7 +162,6 @@ std::vector<LiveMigrator::Completion> LiveMigrator::FenceHost(int host) {
       continue;
     }
     ++stats_.fenced;
-    ReleaseCommitment(m);
     torn.push_back(Completion{m.src_host, m.src_vm, m.dst_host, -1});
   }
   inflight_ = std::move(keep);

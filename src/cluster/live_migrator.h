@@ -68,14 +68,13 @@ class LiveMigrator {
     int dst_vm = -1;
   };
 
-  // A migration's not-yet-materialized claim against its destination host,
-  // split the way the VM's pages will land (FMEM hot-set share + far
-  // remainder). Charged to the per-destination ledger exactly once, when
-  // the migration survives its round-0 copy; released exactly once, on the
-  // single Advance() path that retires it (abort, cancel, or stop-and-copy
-  // completion — after which the destination's real allocations carry the
-  // weight). Release underflow — the double-release that would quietly
-  // inflate reported headroom — aborts.
+  // A not-yet-materialized claim on a host's memory, split the way the VM's
+  // pages will land: its FMEM hot-set share and the far remainder. An
+  // in-flight migration holds one against its destination from the moment
+  // it survives its round-0 copy until it retires (abort, cancel, fence or
+  // stop-and-copy completion — after which the destination's real
+  // allocations carry the weight). The cluster's placement batches use the
+  // same type for VMs assigned but not yet provisioned.
   struct Commitment {
     uint64_t fmem_pages = 0;
     uint64_t far_pages = 0;
@@ -99,9 +98,9 @@ class LiveMigrator {
   std::vector<Completion> Advance(Nanos now);
 
   // Tears down every in-flight migration routed at or from `host` (a
-  // fail-stopped endpoint), releasing each destination commitment exactly
-  // once and counting the routes as `fenced` (not aborted — the ledger
-  // identity becomes started == completed + aborted + cancelled + fenced).
+  // fail-stopped endpoint), counting the routes as `fenced` (not aborted —
+  // the ledger identity becomes started == completed + aborted + cancelled +
+  // fenced).
   // Returns the torn-down routes in start order so the cluster can decide
   // per route: a dead *source* means the VM itself is gone (restart path),
   // a dead *destination* leaves the source VM running (retry path).
@@ -117,15 +116,10 @@ class LiveMigrator {
   // Source/destination route of every in-flight migration (dst_vm == -1:
   // the destination index exists only after stop-and-copy).
   std::vector<Completion> InflightRoutes() const;
-  // Per-destination-host ledger of in-flight commitments (indexed by host).
-  // This — not a route scan — is what the cluster charges against each
-  // destination's headroom, so a charge/release imbalance is immediately
-  // visible to placement.
-  const std::vector<Commitment>& DstCommitments() const { return dst_committed_; }
-  // Read-only conservation audit: recomputes per-destination sums from the
-  // in-flight list and reports every host where the ledger disagrees (which
-  // covers the nothing-in-flight-but-nonzero-ledger leak).
-  InvariantReport AuditCommitments() const;
+  // Per-destination-host sums of the in-flight migrations' commitments
+  // (indexed by host), computed from the in-flight list on every call. A
+  // retired migration leaves that list, so its claim cannot linger.
+  std::vector<Commitment> DstCommitments() const;
   bool Migrating(int host, int vm) const;
   const Stats& stats() const { return stats_; }
 
@@ -143,9 +137,6 @@ class LiveMigrator {
     Commitment commitment;  // Held against dst_host while in flight.
   };
 
-  // The exactly-once release (abort / cancel / completion paths).
-  void ReleaseCommitment(const Inflight& m);
-
   // Copies the current dirty set (or, when `full`, every EPT-backed page)
   // behind a full TLB flush, clearing D bits; charges the cost to the source
   // VM's migration account and returns {pages, ns}.
@@ -159,7 +150,6 @@ class LiveMigrator {
   std::vector<std::unique_ptr<Machine>>& hosts_;
   FaultInjector* faults_;
   std::vector<Inflight> inflight_;
-  std::vector<Commitment> dst_committed_;  // Indexed by destination host.
   std::vector<Completion> aborted_routes_;  // Pending TakeAbortedRoutes drain.
   Stats stats_;
 };

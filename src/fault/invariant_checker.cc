@@ -15,46 +15,9 @@ std::string VmPrefix(int vm) { return "vm" + std::to_string(vm) + ": "; }
 
 }  // namespace
 
-void InvariantChecker::CheckCommitmentConservation(const std::vector<CommitmentEntry>& inflight,
-                                                   const std::vector<CommitmentEntry>& ledger,
-                                                   InvariantReport* report) {
-  // Recompute per-destination sums from first principles, then require the
-  // ledger to match exactly — both directions, so an omitted host and a
-  // stale nonzero entry are equally visible.
-  std::unordered_map<int, CommitmentEntry> expected;
-  for (const CommitmentEntry& claim : inflight) {
-    CommitmentEntry& sum = expected[claim.dst_host];
-    sum.dst_host = claim.dst_host;
-    sum.fmem_pages += claim.fmem_pages;
-    sum.far_pages += claim.far_pages;
-  }
-  for (const CommitmentEntry& held : ledger) {
-    CommitmentEntry sum;
-    auto it = expected.find(held.dst_host);
-    if (it != expected.end()) {
-      sum = it->second;
-      expected.erase(it);
-    }
-    if (held.fmem_pages != sum.fmem_pages || held.far_pages != sum.far_pages) {
-      report->violations.push_back(
-          "host" + std::to_string(held.dst_host) + ": commitment ledger holds {fmem " +
-          std::to_string(held.fmem_pages) + ", far " + std::to_string(held.far_pages) +
-          "} but in-flight migrations claim {fmem " + std::to_string(sum.fmem_pages) + ", far " +
-          std::to_string(sum.far_pages) + "}");
-    }
-  }
-  for (const auto& [host, sum] : expected) {
-    report->violations.push_back("host" + std::to_string(host) +
-                                 ": in-flight migrations claim {fmem " +
-                                 std::to_string(sum.fmem_pages) + ", far " +
-                                 std::to_string(sum.far_pages) + "} but the ledger has no entry");
-  }
-}
-
 void InvariantChecker::CheckHostFencing(const std::vector<bool>& down,
                                         const std::vector<int>& active_vms,
                                         const std::vector<RouteEntry>& routes,
-                                        const std::vector<CommitmentEntry>& ledger,
                                         InvariantReport* report) {
   for (size_t h = 0; h < down.size(); ++h) {
     if (!down[h]) {
@@ -70,13 +33,6 @@ void InvariantChecker::CheckHostFencing(const std::vector<bool>& down,
         report->violations.push_back(host + ": down but an in-flight migration routes " +
                                      std::to_string(route.src_host) + " -> " +
                                      std::to_string(route.dst_host));
-      }
-    }
-    for (const CommitmentEntry& held : ledger) {
-      if (held.dst_host == static_cast<int>(h) && (held.fmem_pages > 0 || held.far_pages > 0)) {
-        report->violations.push_back(host + ": down but the commitment ledger holds {fmem " +
-                                     std::to_string(held.fmem_pages) + ", far " +
-                                     std::to_string(held.far_pages) + "} against it");
       }
     }
   }

@@ -27,18 +27,10 @@
 //      slot count equals its mapped far-tier pages (so a departed VM holds
 //      zero slots after ReclaimVm); the device's total slot count equals the
 //      far tier's used frames — any excess is a leaked slot.
-//   9. Migration-commitment conservation (fleet-level, checked via
-//      CheckCommitmentConservation): for every destination host, the
-//      migrator's commitment ledger equals the sum of the in-flight
-//      migrations' claims toward that host. A charge without a matching
-//      release (aborted migration left on the books) or a double release
-//      shows up as a mismatch — including the degenerate leak of a nonzero
-//      ledger with nothing in flight.
-//  10. Down-host fencing (fleet-level, CheckHostFencing): a fail-stopped
-//      host holds nothing the control plane could act on — zero active VMs,
-//      zero in-flight migration routes touching it (either endpoint), and
-//      zero commitment residue in the destination ledger.
-//  11. Restart-ledger conservation (fleet-level,
+//   9. Down-host fencing (fleet-level, CheckHostFencing): a fail-stopped
+//      host holds nothing the control plane could act on — zero active VMs
+//      and zero in-flight migration routes touching it (either endpoint).
+//  10. Restart-ledger conservation (fleet-level,
 //      CheckRestartConservation): every VM kill resolves to exactly one
 //      recovery outcome, killed == restarted + queued + lost.
 //
@@ -83,40 +75,25 @@ class InvariantChecker {
   // entries mean "no provisioner holdings" (static provisioning).
   static InvariantReport Check(Hypervisor& hyper, const std::vector<VmView>& views);
 
-  // One destination-host commitment tuple for invariant 9. Plain data:
-  // the fault layer audits what the migrator reports without depending on
+  // One in-flight migration route for invariant 9 (dst_vm omitted — the
+  // destination index exists only after stop-and-copy). Plain data: the
+  // fault layer audits what the migrator reports without depending on
   // cluster types.
-  struct CommitmentEntry {
-    int dst_host = -1;
-    uint64_t fmem_pages = 0;
-    uint64_t far_pages = 0;
-  };
-
-  // Invariant 9: appends a violation to `report` for every host where the
-  // `ledger` entry disagrees with the per-destination sums recomputed from
-  // `inflight`, and for every in-flight destination the ledger omits.
-  static void CheckCommitmentConservation(const std::vector<CommitmentEntry>& inflight,
-                                          const std::vector<CommitmentEntry>& ledger,
-                                          InvariantReport* report);
-
-  // One in-flight migration route for invariant 10 (dst_vm omitted — the
-  // destination index exists only after stop-and-copy).
   struct RouteEntry {
     int src_host = -1;
     int dst_host = -1;
   };
 
-  // Invariant 10: for every host flagged down in `down` (indexed by host),
+  // Invariant 9: for every host flagged down in `down` (indexed by host),
   // appends a violation when that host still has active VMs
-  // (`active_vms[host]` > 0), appears at either end of an in-flight
-  // `route`, or holds nonzero commitment residue in `ledger`.
+  // (`active_vms[host]` > 0) or appears at either end of an in-flight
+  // `route`.
   static void CheckHostFencing(const std::vector<bool>& down,
                                const std::vector<int>& active_vms,
                                const std::vector<RouteEntry>& routes,
-                               const std::vector<CommitmentEntry>& ledger,
                                InvariantReport* report);
 
-  // Invariant 11: killed == restarted + queued + lost, where `queued` is
+  // Invariant 10: killed == restarted + queued + lost, where `queued` is
   // the restart queue's current depth. Violated either way the ledger
   // leaks (a kill with no recorded outcome, or an outcome with no kill).
   static void CheckRestartConservation(uint64_t killed, uint64_t restarted, uint64_t queued,

@@ -4,22 +4,6 @@
 
 namespace demeter {
 
-const char* VmaKindName(VmaKind kind) {
-  switch (kind) {
-    case VmaKind::kCode:
-      return "code";
-    case VmaKind::kData:
-      return "data";
-    case VmaKind::kStack:
-      return "stack";
-    case VmaKind::kHeap:
-      return "heap";
-    case VmaKind::kMmap:
-      return "mmap";
-  }
-  return "?";
-}
-
 AddressSpace::AddressSpace() : brk_(kStartBrk), mmap_floor_(kMmapBase) {
   vmas_.push_back(Vma{kCodeStart, kCodeStart + kCodeSize, VmaKind::kCode, false});
   vmas_.push_back(

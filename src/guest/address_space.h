@@ -34,8 +34,6 @@ struct Vma {
   bool Contains(uint64_t addr) const { return addr >= start && addr < end; }
 };
 
-const char* VmaKindName(VmaKind kind);
-
 class AddressSpace {
  public:
   // Linux-x86-64-flavoured layout constants.

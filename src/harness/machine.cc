@@ -294,7 +294,6 @@ Hypervisor::ReclaimResult Machine::TearDownVm(int i, Nanos now) {
   machine_vm.set_departed(true);
   const Hypervisor::ReclaimResult reclaimed = hyper_->ReclaimVm(machine_vm);
   rt.finished = true;  // A departed VM never runs again.
-  DeactivateVm(i);
   rt.lifecycle.depart_ns = now;
   rt.lifecycle.reclaimed_gpt_pages += reclaimed.gpt_unmapped;
   rt.lifecycle.reclaimed_gpa_pages += reclaimed.gpa_freed;
@@ -347,39 +346,24 @@ Nanos Machine::VmMinClock(int i) const {
   return min_clock;
 }
 
-void Machine::RefreshMinClock() {
+Nanos Machine::MinActiveClock() const {
   Nanos min_clock = ~static_cast<Nanos>(0);
-  for (const int i : active_) {
-    min_clock = std::min(min_clock, VmMinClock(i));
+  bool any = false;
+  for (int i = 0; i < num_vms(); ++i) {
+    if (VmActive(i)) {
+      any = true;
+      min_clock = std::min(min_clock, VmMinClock(i));
+    }
   }
-  min_clock_ = min_clock;
+  return any ? min_clock : 0;
 }
 
-void Machine::DrainEvents(Nanos until) {
-  if (events_.RunUntil(until) != 0) {
-    RefreshMinClock();
+int Machine::NumActiveVms() const {
+  int active = 0;
+  for (int i = 0; i < num_vms(); ++i) {
+    active += VmActive(i) ? 1 : 0;
   }
-}
-
-void Machine::ActivateVm(int i) {
-  auto pending = std::lower_bound(pending_boot_.begin(), pending_boot_.end(), i);
-  if (pending != pending_boot_.end() && *pending == i) {
-    pending_boot_.erase(pending);
-  }
-  auto at = std::lower_bound(active_.begin(), active_.end(), i);
-  DEMETER_CHECK(at == active_.end() || *at != i) << "vm " << i << " activated twice";
-  active_.insert(at, i);
-  // Adding a member can only lower the cached minimum.
-  min_clock_ = std::min(min_clock_, VmMinClock(i));
-}
-
-void Machine::DeactivateVm(int i) {
-  auto at = std::lower_bound(active_.begin(), active_.end(), i);
-  if (at == active_.end() || *at != i) {
-    return;
-  }
-  active_.erase(at);
-  RefreshMinClock();  // Removing a member can raise the minimum.
+  return active;
 }
 
 // Virtual time each vCPU runs per turn of the main loop.
@@ -474,7 +458,6 @@ void Machine::FinishVm(int i, Nanos now) {
     return;
   }
   rt.finished = true;
-  DeactivateVm(i);
   Vm& machine_vm = vm(i);
   if (policies_[static_cast<size_t>(i)] != nullptr) {
     policies_[static_cast<size_t>(i)]->Stop();
@@ -555,11 +538,9 @@ void Machine::BootVm(int i, Nanos at) {
   }
   ProvisionVm(i, at);
   // Drain the provisioning request/completion chain (same bounded horizon
-  // as the phase-1 drain) before the guest starts touching memory. The VM
-  // is not in the active list yet, so the drain refresh reads only
-  // already-running VMs.
+  // as the phase-1 drain) before the guest starts touching memory.
   event_horizon_ = std::max(event_horizon_, at + 10 * kMillisecond);
-  DrainEvents(event_horizon_);
+  events_.RunUntil(event_horizon_);
   MaybeAuditInvariants("post-boot");
 
   SetUpGuest(i);
@@ -575,8 +556,6 @@ void Machine::BootVm(int i, Nanos at) {
   // late policy's counters now.
   policies_[static_cast<size_t>(i)]->RegisterMetrics(
       MetricScope(&registry_, "vm" + std::to_string(i)).Sub("policy"));
-  // Final clocks are set; the VM joins the main loop.
-  ActivateVm(i);
 }
 
 void Machine::Run() {
@@ -644,18 +623,6 @@ void Machine::StartRun() {
     }
   }
   RegisterAllMetrics();
-
-  // Membership: booted VMs are active, deferred boots pend. Ascending
-  // vm-id insertion keeps both lists sorted.
-  for (int i = 0; i < num_vms(); ++i) {
-    const VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
-    if (rt.booted && !rt.finished) {
-      active_.push_back(i);
-    } else if (!rt.booted) {
-      pending_boot_.push_back(i);
-    }
-  }
-  RefreshMinClock();
 }
 
 bool Machine::StepUntil(Nanos horizon) {
@@ -667,21 +634,19 @@ bool Machine::StepUntil(Nanos horizon) {
   // byte-identical to the pre-split code, and a Cluster stepping a host in
   // epoch slices replays exactly the same iterations.
   for (;;) {
-    bool any_active = !active_.empty();
-    // Boot scan over the deferred list in vm-id order. BootVm erases the id
-    // from the list, so iterate a scratch copy.
-    sweep_ = pending_boot_;
-    for (const int i : sweep_) {
-      VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
-      if (rt.booted || rt.finished) {
+    // Boot scan over the deferred VMs in vm-id order. A boot drains events,
+    // which may move clocks, so the minimum is read again after each one.
+    bool any_active = NumActiveVms() > 0;
+    Nanos min_clock = MinActiveClock();
+    for (int i = 0; i < num_vms(); ++i) {
+      if (runtimes_[static_cast<size_t>(i)].booted) {
         continue;
       }
       const Nanos due = setups_[static_cast<size_t>(i)].boot_at;
-      if (!any_active) {
-        BootVm(i, std::max(due, event_horizon_));
+      if (!any_active || min_clock >= due) {
+        BootVm(i, any_active ? min_clock : std::max(due, event_horizon_));
         any_active = true;
-      } else if (MinActiveClock() >= due) {
-        BootVm(i, MinActiveClock());
+        min_clock = MinActiveClock();
       }
     }
     if (!any_active) {
@@ -690,24 +655,16 @@ bool Machine::StepUntil(Nanos horizon) {
     if (MinActiveClock() >= horizon) {
       return true;  // Barrier reached with VMs still active.
     }
-    // Quanta in vm-id order. The cached min clock is recomputed as the VMs
-    // run; a VM that finishes mid-quantum drops out of active_ (hence the
-    // scratch copy) and out of the recomputed minimum.
-    sweep_ = active_;
-    Nanos min_clock = ~static_cast<Nanos>(0);
-    for (const int i : sweep_) {
-      const VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
-      if (rt.booted && !rt.finished) {
+    // Quanta in vm-id order; a VM that finishes mid-quantum is skipped from
+    // then on.
+    for (int i = 0; i < num_vms(); ++i) {
+      if (VmActive(i)) {
         RunVmQuantum(i);
-        if (!rt.finished) {
-          min_clock = std::min(min_clock, VmMinClock(i));
-        }
       }
     }
-    min_clock_ = min_clock;
     const Nanos step_horizon = MinActiveClock();
     event_horizon_ = std::max(event_horizon_, step_horizon);
-    DrainEvents(step_horizon);
+    events_.RunUntil(step_horizon);
     MaybeAuditInvariants("main-loop");
   }
 }
@@ -863,14 +820,11 @@ int Machine::AdoptVm(MigratedVm&& moved, Nanos now, double extra_downtime_ns) {
   // as a real migration would): attach, then register this VM's metrics.
   AttachPolicy(i, static_cast<Nanos>(resume));
   RegisterVmMetricsFor(i);
-  // Activate before the drain below: its refresh must see this VM in case
-  // the fresh policy's first timer lands inside the drain horizon.
-  ActivateVm(i);
 
   // Drain any events the restore scheduled (e.g. swap writebacks), bounded
   // like a mid-run boot.
   event_horizon_ = std::max(event_horizon_, now + 10 * kMillisecond);
-  DrainEvents(event_horizon_);
+  events_.RunUntil(event_horizon_);
   MaybeAuditInvariants("post-adopt");
   return i;
 }

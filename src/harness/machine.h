@@ -213,16 +213,16 @@ class Machine {
   void FinishRun();
   static constexpr Nanos kNoHorizon = ~static_cast<Nanos>(0);
 
-  // Minimum vCPU clock over booted, unfinished VMs (0 when none). O(1): a
-  // cached minimum the main loop keeps exact at every point it is read.
-  Nanos MinActiveClock() const { return active_.empty() ? 0 : min_clock_; }
+  // Minimum vCPU clock over active VMs (0 when none). Computed from the
+  // clocks on every call: a walk over the VMs in id order.
+  Nanos MinActiveClock() const;
   // True while VM i is booted and has not finished/departed.
   bool VmActive(int i) const {
     const VmRuntime& rt = runtimes_[static_cast<size_t>(i)];
     return rt.booted && !rt.finished;
   }
-  // O(1): the active list changes on every boot/finish/depart/extract.
-  int NumActiveVms() const { return static_cast<int>(active_.size()); }
+  // The number of VMs for which VmActive holds, counted on every call.
+  int NumActiveVms() const;
   const VmSetup& vm_setup(int i) const { return setups_[static_cast<size_t>(i)]; }
 
   // ---- live migration -----------------------------------------------------
@@ -305,16 +305,7 @@ class Machine {
     TlbStats migrated_tlb;
   };
 
-  // Drains events to `until`; if any callback fired (it may have advanced a
-  // vCPU clock), recomputes the cached min clock.
-  void DrainEvents(Nanos until);
-  // Recomputes the cached min clock from the active VMs' vCPUs.
-  void RefreshMinClock();
   Nanos VmMinClock(int i) const;
-  // Membership transitions; both keep the cached min clock exact.
-  // DeactivateVm is idempotent.
-  void ActivateVm(int i);
-  void DeactivateVm(int i);
 
   // VM lifecycle steps shared by StartRun (VMs that boot with the machine),
   // BootVm (mid-run boots), ExtractVm/AdoptVm (live migration) and RemoveVm
@@ -369,12 +360,6 @@ class Machine {
   // admissions (AdmitVm/AdoptVm) grow the container after registration.
   std::deque<VmRuntime> runtimes_;
   std::vector<VmRunResult> results_;
-  // Membership, populated by StartRun and kept sorted by vm id, so walking
-  // a list is global vm-id order.
-  std::vector<int> active_;        // Booted, unfinished.
-  std::vector<int> pending_boot_;  // Deferred boot_at VMs, not yet booted.
-  Nanos min_clock_ = ~static_cast<Nanos>(0);  // Over active_; ~0 if empty.
-  std::vector<int> sweep_;  // Scratch: membership list copy for iteration.
   Rng rng_;
   bool ran_ = false;
   // Latest event-drain horizon; mid-run boots never schedule behind it.

@@ -56,12 +56,4 @@ std::string TablePrinter::ToString() const {
   return out;
 }
 
-void PrintSeries(const std::string& title, const std::vector<std::string>& labels,
-                 const std::vector<double>& values, const std::string& unit) {
-  std::printf("%s\n", title.c_str());
-  for (size_t i = 0; i < labels.size() && i < values.size(); ++i) {
-    std::printf("  %-24s %12.3f %s\n", labels[i].c_str(), values[i], unit.c_str());
-  }
-}
-
 }  // namespace demeter

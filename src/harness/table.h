@@ -28,10 +28,6 @@ class TablePrinter {
   std::vector<std::vector<std::string>> rows_;
 };
 
-// Prints a "figure" as a labelled series: one line per point.
-void PrintSeries(const std::string& title, const std::vector<std::string>& labels,
-                 const std::vector<double>& values, const std::string& unit);
-
 }  // namespace demeter
 
 #endif  // DEMETER_SRC_HARNESS_TABLE_H_

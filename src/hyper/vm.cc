@@ -77,7 +77,6 @@ size_t Vm::ExecuteBatch(int vcpu_id, GuestProcess& process, std::span<const Acce
 
 AccessResult Vm::ExecuteAccessImpl(Vcpu& v, GuestProcess& process, uint64_t gva, bool is_write,
                                    RunMemo& memo) {
-  ++v.accesses;
   ++stats_.accesses;
   if (is_write) {
     ++stats_.writes;

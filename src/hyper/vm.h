@@ -75,7 +75,6 @@ struct Vcpu {
   double clock_ns = 0.0;  // Local virtual time.
   Tlb tlb;
   std::unique_ptr<PebsUnit> pebs;
-  uint64_t accesses = 0;
   Nanos next_context_switch = 0;
 
   Nanos now() const { return static_cast<Nanos>(clock_ns); }

@@ -68,10 +68,4 @@ const char* MediaKindName(MediaKind media) {
   return "?";
 }
 
-void MemoryTier::ResetContention() {
-  current_window_ = 0;
-  window_bytes_ = 0;
-  prev_window_bytes_ = 0;
-}
-
 }  // namespace demeter

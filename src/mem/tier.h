@@ -88,8 +88,6 @@ class MemoryTier {
   // Total bytes moved through this tier (reads + writes).
   uint64_t bytes_transferred() const { return bytes_transferred_; }
 
-  void ResetContention();
-
   static constexpr Nanos kWindowNs = kMillisecond;
   static constexpr double kMaxUtilization = 0.95;
   // Guards against degenerate specs / fully-carved tiers: a direction

@@ -102,18 +102,13 @@ std::string JsonLinesSink::ToJsonLines(const ExperimentResult& result) {
 }
 
 JsonLinesSink::JsonLinesSink(const std::string& path)
-    : out_(std::fopen(path.c_str(), "w")), path_(path), owns_(true) {
+    : out_(std::fopen(path.c_str(), "w")), path_(path) {
   DEMETER_CHECK(out_ != nullptr) << "cannot open " << path << " for writing";
 }
 
-JsonLinesSink::JsonLinesSink(std::FILE* out) : out_(out), path_("<stream>"), owns_(false) {
-  DEMETER_CHECK(out_ != nullptr);
-}
-
 JsonLinesSink::~JsonLinesSink() {
-  if (owns_ && out_ != nullptr) {
+  if (out_ != nullptr) {
     std::fclose(out_);
-    out_ = nullptr;
   }
 }
 
@@ -124,12 +119,9 @@ void JsonLinesSink::Consume(const ExperimentResult& result) {
 
 void JsonLinesSink::Finish() {
   CheckWritten(std::fflush(out_) == 0, path_);
-  if (owns_) {
-    const bool closed = std::fclose(out_) == 0;
-    out_ = nullptr;
-    owns_ = false;
-    CheckWritten(closed, path_);
-  }
+  const bool closed = std::fclose(out_) == 0;
+  out_ = nullptr;
+  CheckWritten(closed, path_);
 }
 
 TableSink::TableSink()

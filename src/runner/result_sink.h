@@ -33,8 +33,6 @@ class JsonLinesSink : public ResultSink {
  public:
   // Opens `path` for writing (truncates); aborts if it cannot.
   explicit JsonLinesSink(const std::string& path);
-  // Writes to a caller-owned stream (not closed by the sink).
-  explicit JsonLinesSink(std::FILE* out);
   ~JsonLinesSink() override;
 
   // Both abort, naming the path and errno, when a write, flush or close
@@ -49,7 +47,6 @@ class JsonLinesSink : public ResultSink {
  private:
   std::FILE* out_ = nullptr;
   std::string path_;  // For error messages.
-  bool owns_ = false;
 };
 
 class TableSink : public ResultSink {

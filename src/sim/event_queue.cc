@@ -7,20 +7,17 @@ namespace demeter {
 
 uint64_t EventQueue::Schedule(Nanos when, Callback cb) {
   const uint64_t id = next_id_++;
-  heap_.push_back(Event{when, next_seq_++, id, std::move(cb)});
+  heap_.push_back(Event{when, id, std::move(cb)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  live_.insert(id);
   return id;
 }
 
 bool EventQueue::Cancel(uint64_t id) {
-  if (live_.erase(id) == 0) {
-    return false;
-  }
-  // The heap entry stays put and is dropped at pop time; the hash set makes
-  // that check O(1) and the tombstone is erased exactly once.
-  cancelled_.insert(id);
-  return true;
+  const bool pending = std::any_of(heap_.begin(), heap_.end(),
+                                   [id](const Event& ev) { return ev.id == id; });
+  // The heap entry stays put and is dropped at pop time, which erases the
+  // tombstone exactly once.
+  return pending && cancelled_.insert(id).second;
 }
 
 size_t EventQueue::RunUntil(Nanos until) {
@@ -32,7 +29,6 @@ size_t EventQueue::RunUntil(Nanos until) {
     if (cancelled_.erase(ev.id) > 0) {
       continue;
     }
-    live_.erase(ev.id);
     ++fired;
     ev.cb(ev.when);
   }

@@ -1,16 +1,15 @@
 // Deterministic discrete-event queue over virtual time.
 //
-// Events scheduled at the same timestamp fire in scheduling order (a
-// monotonically increasing sequence number breaks ties), so simulation runs
-// are exactly reproducible.
+// Events scheduled at the same timestamp fire in scheduling order: ids come
+// from a monotone counter, so (when, id) is a total order and simulation
+// runs are exactly reproducible.
 //
-// Cancellation is exact: ids are unique for the queue's lifetime (a monotone
-// counter doubles as a generation id), and the queue tracks the live id set
-// in a hash set. Cancel() on an id that already fired, was already
-// cancelled, or never existed returns false and changes nothing — the
-// earlier lazy scheme returned true for fired ids, decremented the live
-// count for events no longer in the heap, and left the tombstone in the
-// cancelled list forever (every later Cancel paid a linear scan over it).
+// Cancellation is exact: ids are unique for the queue's lifetime, and a
+// cancelled event stays in the heap as a tombstone until it reaches the top.
+// Cancel() scans the heap for the id, so an id that already fired, was
+// already cancelled, or never existed returns false and changes nothing.
+// The scan is linear in the pending events; the only production caller is
+// the balloon's armed request timeout.
 
 #ifndef DEMETER_SRC_SIM_EVENT_QUEUE_H_
 #define DEMETER_SRC_SIM_EVENT_QUEUE_H_
@@ -37,7 +36,7 @@ class EventQueue {
   // entry stays in the heap and is dropped at pop time.
   bool Cancel(uint64_t id);
 
-  // Runs all events with time <= until, in (time, seq) order. Events may
+  // Runs all events with time <= until, in (time, id) order. Events may
   // schedule further events; those also run if due. Returns the number of
   // callbacks fired; cancelled entries dropped on the way do not count.
   size_t RunUntil(Nanos until);
@@ -48,21 +47,21 @@ class EventQueue {
   static constexpr Nanos kNoEvent = ~static_cast<Nanos>(0);
   Nanos NextEventTime() const { return heap_.empty() ? kNoEvent : heap_.front().when; }
 
-  bool empty() const { return live_.empty(); }
-  size_t size() const { return live_.size(); }
+  // Pending events: heap entries that are not tombstones.
+  size_t size() const { return heap_.size() - cancelled_.size(); }
+  bool empty() const { return size() == 0; }
 
  private:
   struct Event {
     Nanos when;
-    uint64_t seq;
     uint64_t id;
     Callback cb;
   };
-  // Min-heap order on (when, seq) for std::push_heap/std::pop_heap, which
+  // Min-heap order on (when, id) for std::push_heap/std::pop_heap, which
   // want a max-heap comparator — hence the inversion.
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
-      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+      return a.when != b.when ? a.when > b.when : a.id > b.id;
     }
   };
 
@@ -71,9 +70,7 @@ class EventQueue {
   // per fired event on the hottest simulation loop); here the event is moved
   // out.
   std::vector<Event> heap_;
-  std::unordered_set<uint64_t> live_;       // Scheduled, not fired/cancelled.
-  std::unordered_set<uint64_t> cancelled_;  // Cancelled, still in the heap.
-  uint64_t next_seq_ = 0;
+  std::unordered_set<uint64_t> cancelled_;  // Tombstones still in the heap.
   uint64_t next_id_ = 1;
 };
 

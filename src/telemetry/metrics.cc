@@ -213,10 +213,6 @@ void MetricRegistry::RegisterDistribution(std::string_view name, const Histogram
   NewCell(name, MetricKind::kDistribution).ext_distribution = histogram;
 }
 
-bool MetricRegistry::Contains(std::string_view name) const {
-  return cells_.find(name) != cells_.end();
-}
-
 MetricSample MetricRegistry::SampleCell(const std::string& name, const Cell& cell) {
   MetricSample sample;
   sample.name = name;

@@ -115,7 +115,6 @@ class MetricRegistry {
   void RegisterDistribution(std::string_view name, const Histogram* histogram);
 
   size_t size() const { return cells_.size(); }
-  bool Contains(std::string_view name) const;
 
   // Reads every metric (through registered views where bound) into a
   // name-sorted snapshot.

@@ -65,22 +65,6 @@ TraceArgs& TraceArgs::Add(const char* key, uint64_t value) {
   return *this;
 }
 
-TraceArgs& TraceArgs::Add(const char* key, double value) {
-  if (!out_.empty()) {
-    out_ += ',';
-  }
-  AppendJsonF64(out_, key, value);
-  return *this;
-}
-
-TraceArgs& TraceArgs::Add(const char* key, const char* value) {
-  if (!out_.empty()) {
-    out_ += ',';
-  }
-  AppendJsonStr(out_, key, value);
-  return *this;
-}
-
 Tracer::Tracer(size_t max_events) : max_events_(max_events) {}
 
 void Tracer::Instant(const char* category, std::string name, Nanos ts, int pid, int tid,
@@ -128,11 +112,6 @@ std::vector<TraceEvent> Tracer::TakeEvents() {
   std::vector<TraceEvent> out = std::move(events_);
   events_.clear();
   return out;
-}
-
-void Tracer::Clear() {
-  events_.clear();
-  dropped_ = 0;
 }
 
 std::string ChromeTraceJson(const std::vector<NamedTrace>& traces) {

@@ -45,8 +45,6 @@ struct TraceEvent {
 class TraceArgs {
  public:
   TraceArgs& Add(const char* key, uint64_t value);
-  TraceArgs& Add(const char* key, double value);
-  TraceArgs& Add(const char* key, const char* value);
   std::string str() && { return std::move(out_); }
   const std::string& str() const& { return out_; }
 
@@ -73,7 +71,6 @@ class Tracer {
   const std::vector<TraceEvent>& events() const { return events_; }
   std::vector<TraceEvent> TakeEvents();
   uint64_t dropped() const { return dropped_; }
-  void Clear();
 
  private:
   void Push(TraceEvent event);

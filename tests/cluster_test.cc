@@ -1,14 +1,16 @@
 // src/cluster: placement scoring, telemetry namespacing, the single-host
 // byte-identity regression, trace pid encoding, per-host stream
 // independence, the three live-migration resolution paths (complete /
-// abort / cancel) with page-conservation audits on both ends, and
-// run-to-run identity while hosts step concurrently. Run under
+// abort / cancel) with page-conservation audits on both ends, the
+// destination commitment after every migrator call that charges or retires
+// one, and run-to-run identity while hosts step concurrently. Run under
 // -fsanitize=thread in CI.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -310,38 +312,16 @@ TEST(ClusterTest, SnapshotNamespacesHostsAndRollup) {
 // ------------------------------------------------ Migration resolutions
 
 // After Run the fleet is drained: every in-flight migration resolved, so
-// every destination's commitment ledger must be back to zero. A nonzero
-// entry here is a charge whose release was skipped (the headroom leak the
-// per-destination ledger exists to make impossible).
+// no destination may still be charged a commitment. A nonzero entry here is
+// a retired migration left in the in-flight list (the headroom leak
+// placement would see).
 void ExpectNoResidualCommitments(const Cluster& cluster) {
-  const std::vector<LiveMigrator::Commitment>& held = cluster.migrator().DstCommitments();
+  const std::vector<LiveMigrator::Commitment> held = cluster.migrator().DstCommitments();
   ASSERT_EQ(held.size(), static_cast<size_t>(cluster.num_hosts()));
   for (size_t h = 0; h < held.size(); ++h) {
     EXPECT_EQ(held[h].fmem_pages, 0u) << "host " << h;
     EXPECT_EQ(held[h].far_pages, 0u) << "host " << h;
   }
-  EXPECT_TRUE(cluster.migrator().AuditCommitments().ok());
-}
-
-TEST(CommitmentConservationTest, LedgerMismatchesAreReported) {
-  // Invariant 9 over plain data: ledger == per-destination in-flight sums,
-  // both directions.
-  InvariantReport balanced;
-  InvariantChecker::CheckCommitmentConservation({{1, 10, 20}, {1, 5, 0}, {2, 7, 7}},
-                                                {{0, 0, 0}, {1, 15, 20}, {2, 7, 7}}, &balanced);
-  EXPECT_TRUE(balanced.ok()) << balanced.Join();
-
-  // An aborted migration's charge left on the books: nothing in flight but
-  // the ledger still holds pages.
-  InvariantReport stale;
-  InvariantChecker::CheckCommitmentConservation({}, {{0, 0, 0}, {1, 15, 20}}, &stale);
-  ASSERT_EQ(stale.violations.size(), 1u);
-  EXPECT_NE(stale.violations[0].find("host1"), std::string::npos);
-
-  // The mirror leak: an in-flight claim the ledger never charged.
-  InvariantReport missing;
-  InvariantChecker::CheckCommitmentConservation({{1, 5, 5}}, {{0, 0, 0}}, &missing);
-  EXPECT_EQ(missing.violations.size(), 1u);
 }
 
 TEST(ClusterTest, EvacuationCompletesAndConservesVms) {
@@ -411,8 +391,8 @@ TEST(ClusterTest, AbortedMigrationLeavesVmOnSource) {
   }
   EXPECT_GT(cluster.SnapshotMetrics().CounterValue("cluster/fault/live_migrate_fail_injected"),
             0u);
-  // The regression this pins: aborts released their destination charge
-  // exactly once, so no stale commitment inflates placement's view.
+  // The regression this pins: an aborted migration holds no destination
+  // charge, so no stale commitment inflates placement's view.
   ExpectNoResidualCommitments(cluster);
 }
 
@@ -445,6 +425,116 @@ TEST(ClusterTest, DepartedMidMigrationIsCancelledCleanly) {
     EXPECT_GE(cluster.result(i).transactions, 400000u) << "vm " << i;
   }
   ExpectNoResidualCommitments(cluster);
+}
+
+// ------------------------------------ Destination commitments, call by call
+
+// The claim each test's migration holds against host 1.
+constexpr LiveMigrator::Commitment kClaim{300, 1200};
+
+// Two started hosts with one FleetVm each; host 0's VM is the migrant.
+std::vector<std::unique_ptr<Machine>> TwoStartedHosts(uint64_t transactions) {
+  std::vector<std::unique_ptr<Machine>> hosts;
+  for (int h = 0; h < 2; ++h) {
+    MachineConfig config = FleetHost(2);
+    config.seed = HostSeed(config.seed, h);
+    hosts.push_back(std::make_unique<Machine>(config));
+    hosts.back()->AddVm(FleetVm(transactions));
+    hosts.back()->StartRun();
+  }
+  return hosts;
+}
+
+// Host `h`'s commitment as the migrator reports it, as {fmem, far}.
+std::pair<uint64_t, uint64_t> Held(const LiveMigrator& migrator, int h) {
+  const std::vector<LiveMigrator::Commitment> held = migrator.DstCommitments();
+  EXPECT_EQ(held.size(), 2u);
+  return {held[static_cast<size_t>(h)].fmem_pages, held[static_cast<size_t>(h)].far_pages};
+}
+
+constexpr std::pair<uint64_t, uint64_t> kNone{0, 0};
+constexpr std::pair<uint64_t, uint64_t> kCharged{kClaim.fmem_pages, kClaim.far_pages};
+
+// Steps every host one epoch past host 0's minimum clock; returns the
+// barrier time.
+Nanos StepEpoch(std::vector<std::unique_ptr<Machine>>& hosts) {
+  const Nanos t = hosts[0]->MinActiveClock() + 10 * kMillisecond;
+  for (std::unique_ptr<Machine>& host : hosts) {
+    host->StepUntil(t);
+  }
+  return t;
+}
+
+TEST(DstCommitmentsTest, BeginChargesAndCompletionReturnsToZero) {
+  std::vector<std::unique_ptr<Machine>> hosts = TwoStartedHosts(400000);
+  MigrationConfig config;
+  config.stop_copy_pages = 1u << 30;  // Converge on the first Advance.
+  LiveMigrator migrator(config, hosts, nullptr);
+  EXPECT_EQ(Held(migrator, 1), kNone);
+  ASSERT_TRUE(migrator.Begin(0, 0, 1, kClaim, hosts[0]->MinActiveClock()));
+  EXPECT_EQ(Held(migrator, 1), kCharged);
+  EXPECT_EQ(Held(migrator, 0), kNone) << "the source is never charged";
+
+  const std::vector<LiveMigrator::Completion> done = migrator.Advance(StepEpoch(hosts));
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(migrator.stats().completed, 1u);
+  EXPECT_EQ(Held(migrator, 1), kNone);
+}
+
+TEST(DstCommitmentsTest, RoundZeroAbortNeverCharges) {
+  std::vector<std::unique_ptr<Machine>> hosts = TwoStartedHosts(400000);
+  FaultInjector faults(MustParse("migratefail=1.0/1us@0"), 42);
+  LiveMigrator migrator(MigrationConfig{}, hosts, &faults);
+  EXPECT_FALSE(migrator.Begin(0, 0, 1, kClaim, hosts[0]->MinActiveClock()));
+  EXPECT_EQ(migrator.stats().aborted, 1u);
+  EXPECT_EQ(Held(migrator, 1), kNone);
+}
+
+TEST(DstCommitmentsTest, FenceHostReturnsToZero) {
+  std::vector<std::unique_ptr<Machine>> hosts = TwoStartedHosts(400000);
+  LiveMigrator migrator(MigrationConfig{}, hosts, nullptr);
+  ASSERT_TRUE(migrator.Begin(0, 0, 1, kClaim, hosts[0]->MinActiveClock()));
+  EXPECT_EQ(Held(migrator, 1), kCharged);
+  EXPECT_EQ(migrator.FenceHost(1).size(), 1u);
+  EXPECT_EQ(migrator.stats().fenced, 1u);
+  EXPECT_EQ(Held(migrator, 1), kNone);
+}
+
+TEST(DstCommitmentsTest, CancelReturnsToZero) {
+  // The migrant finishes before the migration converges; the next Advance
+  // cancels it.
+  std::vector<std::unique_ptr<Machine>> hosts = TwoStartedHosts(20000);
+  MigrationConfig config;
+  config.stop_copy_pages = 0;
+  config.max_precopy_rounds = 1 << 20;
+  LiveMigrator migrator(config, hosts, nullptr);
+  ASSERT_TRUE(migrator.Begin(0, 0, 1, kClaim, hosts[0]->MinActiveClock()));
+  while (hosts[0]->VmActive(0)) {
+    hosts[0]->StepUntil(hosts[0]->MinActiveClock() + kMillisecond);
+  }
+  EXPECT_EQ(Held(migrator, 1), kCharged) << "only Advance retires a migration";
+  EXPECT_TRUE(migrator.Advance(hosts[0]->MinActiveClock()).empty());
+  EXPECT_EQ(migrator.stats().cancelled, 1u);
+  EXPECT_EQ(Held(migrator, 1), kNone);
+}
+
+TEST(DstCommitmentsTest, MidCopyAbortReturnsToZero) {
+  // Round 0 copies under the 20 ms budget; the dirty rounds that follow
+  // cross it, and the Advance that crosses it retires the charge.
+  std::vector<std::unique_ptr<Machine>> hosts = TwoStartedHosts(4000000);
+  FaultInjector faults(MustParse("migratefail=1.0/20ms@0"), 42);
+  MigrationConfig config;
+  config.stop_copy_pages = 0;
+  config.max_precopy_rounds = 1 << 20;
+  LiveMigrator migrator(config, hosts, &faults);
+  ASSERT_TRUE(migrator.Begin(0, 0, 1, kClaim, hosts[0]->MinActiveClock()));
+  for (int round = 0; round < 200 && migrator.stats().aborted == 0; ++round) {
+    EXPECT_EQ(Held(migrator, 1), kCharged) << "round " << round;
+    migrator.Advance(StepEpoch(hosts));
+  }
+  EXPECT_EQ(migrator.stats().aborted, 1u);
+  EXPECT_EQ(migrator.stats().cancelled, 0u);
+  EXPECT_EQ(Held(migrator, 1), kNone);
 }
 
 // ------------------------------------------------ Host-failure recovery
@@ -500,31 +590,27 @@ TEST(PlacementTest, FailureHistoryLosesTiebreaks) {
 }
 
 TEST(HaInvariantTest, HostFencingCatchesResidue) {
-  // Family 10 over plain data: a down host must hold no active VMs, touch
-  // no in-flight route at either end, and keep no commitment residue.
+  // Family 9 over plain data: a down host must hold no active VMs and touch
+  // no in-flight route at either end.
   const std::vector<bool> down = {true, false};
   InvariantReport clean;
-  InvariantChecker::CheckHostFencing(down, {0, 3}, {{1, 1}}, {{0, 0, 0}, {1, 5, 5}}, &clean);
+  InvariantChecker::CheckHostFencing(down, {0, 3}, {{1, 1}}, &clean);
   EXPECT_TRUE(clean.ok()) << clean.Join();
 
   InvariantReport residents;
-  InvariantChecker::CheckHostFencing(down, {2, 3}, {}, {}, &residents);
+  InvariantChecker::CheckHostFencing(down, {2, 3}, {}, &residents);
   EXPECT_FALSE(residents.ok());
 
   InvariantReport route_src;
-  InvariantChecker::CheckHostFencing(down, {0, 3}, {{0, 1}}, {}, &route_src);
+  InvariantChecker::CheckHostFencing(down, {0, 3}, {{0, 1}}, &route_src);
   EXPECT_FALSE(route_src.ok());
   InvariantReport route_dst;
-  InvariantChecker::CheckHostFencing(down, {0, 3}, {{1, 0}}, {}, &route_dst);
+  InvariantChecker::CheckHostFencing(down, {0, 3}, {{1, 0}}, &route_dst);
   EXPECT_FALSE(route_dst.ok());
-
-  InvariantReport residue;
-  InvariantChecker::CheckHostFencing(down, {0, 3}, {}, {{0, 4, 0}, {1, 0, 0}}, &residue);
-  EXPECT_FALSE(residue.ok());
 }
 
 TEST(HaInvariantTest, RestartConservationBalances) {
-  // Family 11: killed == restarted + queued + lost, violated either way.
+  // Family 10: killed == restarted + queued + lost, violated either way.
   InvariantReport balanced;
   InvariantChecker::CheckRestartConservation(5, 3, 1, 1, &balanced);
   EXPECT_TRUE(balanced.ok()) << balanced.Join();

@@ -167,7 +167,7 @@ std::string ChurnyHostMetricsJson(bool observed, int vms, uint64_t seed,
     setup.demeter.range.epoch_length = 10 * kMillisecond;
     setup.demeter.sample_period = 97;
     // Churn: every fourth VM boots late, every third departs on finish
-    // (exercising DeactivateVm mid-run).
+    // (the active set changes mid-run).
     if (v % 4 == 3) {
       setup.boot_at = 5 * kMillisecond * static_cast<Nanos>(1 + v % 3);
     }

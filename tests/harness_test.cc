@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+#include <utility>
+
 #include "src/harness/machine.h"
 #include "src/harness/table.h"
 
@@ -241,6 +245,85 @@ TEST(Machine, TimelineGrowthCappedUnderPathologicalBucketing) {
   // must actually have absorbed overflow.
   ASSERT_FALSE(result.timeline.empty());
   EXPECT_GT(result.timeline.back(), 1u);
+}
+
+// The minimum vCPU clock over `vms`, read from the vCPUs themselves.
+Nanos MinClockOf(Machine& machine, std::initializer_list<int> vms) {
+  Nanos min_clock = ~static_cast<Nanos>(0);
+  for (const int i : vms) {
+    for (int v = 0; v < machine.vm(i).num_vcpus(); ++v) {
+      min_clock = std::min(min_clock, machine.vm(i).vcpu(v).now());
+    }
+  }
+  return min_clock;
+}
+
+// Steps `machine` a millisecond past its minimum clock at a time until
+// `done` holds; fails the test if the machine runs dry first.
+template <typename Done>
+void StepUntilDone(Machine& machine, Done done) {
+  while (!done()) {
+    ASSERT_TRUE(machine.StepUntil(machine.MinActiveClock() + kMillisecond));
+  }
+}
+
+TEST(Machine, ActiveSetAndMinClockFollowEveryLifecycleStep) {
+  // VM 0 departs when it finishes, VM 1 runs long, VM 2 boots late. After
+  // each lifecycle step the active set and the minimum clock must match
+  // the VMs' own state.
+  Machine a(SmallHost(3));
+  VmSetup early = SmallVm(PolicyKind::kStatic);
+  early.target_transactions = 100000;
+  early.depart_on_finish = true;
+  VmSetup steady = SmallVm(PolicyKind::kDemeter);
+  steady.target_transactions = 2000000;
+  VmSetup late = SmallVm(PolicyKind::kStatic);
+  late.target_transactions = 2000000;
+  late.boot_at = 40 * kMillisecond;  // Past the init passes (about 36 ms).
+  a.AddVm(early);
+  a.AddVm(steady);
+  a.AddVm(late);
+  a.StartRun();
+  EXPECT_EQ(a.NumActiveVms(), 2);
+  EXPECT_TRUE(a.VmActive(0));
+  EXPECT_TRUE(a.VmActive(1));
+  EXPECT_FALSE(a.VmActive(2));
+  EXPECT_EQ(a.MinActiveClock(), MinClockOf(a, {0, 1}));
+  ASSERT_LT(a.MinActiveClock(), late.boot_at) << "the init passes ran past vm 2's boot";
+
+  // A deferred boot_at: VM 2 joins once the minimum clock reaches it.
+  StepUntilDone(a, [&] { return a.VmActive(2); });
+  EXPECT_TRUE(a.VmActive(0)) << "vm 0 finished before vm 2 booted";
+  EXPECT_EQ(a.NumActiveVms(), 3);
+  EXPECT_EQ(a.MinActiveClock(), MinClockOf(a, {0, 1, 2}));
+
+  // depart_on_finish: VM 0 leaves the active set when it reaches its target.
+  StepUntilDone(a, [&] { return !a.VmActive(0); });
+  EXPECT_TRUE(a.vm(0).departed());
+  EXPECT_EQ(a.NumActiveVms(), 2);
+  EXPECT_EQ(a.MinActiveClock(), MinClockOf(a, {1, 2}));
+
+  // KillVm takes VM 2 out at once.
+  a.KillVm(2, a.MinActiveClock());
+  EXPECT_FALSE(a.VmActive(2));
+  EXPECT_EQ(a.NumActiveVms(), 1);
+  EXPECT_EQ(a.MinActiveClock(), MinClockOf(a, {1}));
+
+  // ExtractVm/AdoptVm: VM 1 moves to a second running machine.
+  Machine b(SmallHost(2));
+  late.boot_at = 0;
+  b.AddVm(late);
+  b.StartRun();
+  ASSERT_EQ(b.NumActiveVms(), 1);
+  MigratedVm moved = a.ExtractVm(1, a.MinActiveClock());
+  EXPECT_FALSE(a.VmActive(1));
+  EXPECT_EQ(a.NumActiveVms(), 0);
+  EXPECT_EQ(a.MinActiveClock(), 0u);
+  EXPECT_FALSE(a.StepUntil(Machine::kNoHorizon)) << "a machine with no active VM is done";
+  const int adopted = b.AdoptVm(std::move(moved), b.MinActiveClock(), 0.0);
+  EXPECT_TRUE(b.VmActive(adopted));
+  EXPECT_EQ(b.NumActiveVms(), 2);
+  EXPECT_EQ(b.MinActiveClock(), MinClockOf(b, {0, adopted}));
 }
 
 TEST(Machine, PolicyNamesRoundTrip) {
