@@ -13,13 +13,16 @@
 // in N, not quadratically. The smallest count's simulator state fits in
 // last-level cache, so the first ratio reads high (a cache-regime
 // transition, not algorithmic growth); the 64->256 ratio is the honest
-// scaling signal.
+// scaling signal. Next to it stderr shows the process's resident-set high
+// water mark (VmHWM) read after each count, and that mark per tenant:
+// counts run in ascending order, so each mark is that count's peak.
 //
 // This bench owns its churn pattern; the generic --faults flag composes
 // fine and is accepted.
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -34,6 +37,19 @@ namespace {
 
 constexpr int kFullCounts[] = {16, 64, 256};
 constexpr int kSmokeCounts[] = {4, 8, 16};
+
+// The process's resident-set high water mark in MiB (Linux VmHWM), or a
+// negative value where /proc/self/status does not report it.
+double PeakRssMib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stod(line.substr(6)) / 1024.0;  // Reported in kB.
+    }
+  }
+  return -1.0;
+}
 
 ExperimentSpec DenseSpec(const BenchScale& scale, int num_vms, uint64_t transactions,
                          double bw_scale) {
@@ -86,6 +102,7 @@ int Run(int argc, char** argv) {
 
   std::vector<ExperimentResult> results;
   std::vector<double> wall_s(num_counts, 0.0);
+  std::vector<double> hwm_mib(num_counts, 0.0);
   for (size_t c = 0; c < num_counts; ++c) {
     const int vms = counts[c];
 #if defined(__GLIBC__) || defined(__linux__)
@@ -101,6 +118,7 @@ int Run(int argc, char** argv) {
     const auto start = std::chrono::steady_clock::now();
     std::vector<ExperimentResult> run = runner.RunAll();
     wall_s[c] = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    hwm_mib[c] = PeakRssMib();
     DEMETER_CHECK_EQ(run.size(), 1u);
     DEMETER_CHECK(run[0].ok) << run[0].spec.name << ": " << run[0].error;
     for (const VmRunResult& vm : run[0].vms) {
@@ -115,8 +133,9 @@ int Run(int argc, char** argv) {
 
   std::printf("\nScaling (aggregate throughput vs tenant count):\n");
   std::printf("  %6s %12s %12s\n", "vms", "agg_tps", "mean_tps/vm");
-  std::fprintf(stderr, "\nHost wall clock vs tenant count:\n");
-  std::fprintf(stderr, "  %6s %10s %12s\n", "vms", "wall_s", "wall_ratio");
+  std::fprintf(stderr, "\nHost wall clock and peak resident set vs tenant count:\n");
+  std::fprintf(stderr, "  %6s %10s %24s %10s %10s\n", "vms", "wall_s", "wall_ratio", "hwm_mib",
+               "mib/vm");
   for (size_t c = 0; c < num_counts; ++c) {
     double tps = 0.0;
     for (const VmRunResult& vm : results[c].vms) {
@@ -125,13 +144,13 @@ int Run(int argc, char** argv) {
     std::printf("  %6d %12.0f %12.0f\n", counts[c], tps, tps / counts[c]);
     const double wall = wall_s[c];
     const double prev_wall = c > 0 ? wall_s[c - 1] : 0.0;
+    char ratio[64] = "-";
     if (c > 0 && prev_wall > 0.0) {
-      std::fprintf(stderr, "  %6d %10.2f %9.2fx (vs %.0fx VMs)\n", counts[c], wall,
-                   wall / prev_wall,
-                   static_cast<double>(counts[c]) / static_cast<double>(counts[c - 1]));
-    } else {
-      std::fprintf(stderr, "  %6d %10.2f %12s\n", counts[c], wall, "-");
+      std::snprintf(ratio, sizeof(ratio), "%.2fx (vs %.0fx VMs)", wall / prev_wall,
+                    static_cast<double>(counts[c]) / static_cast<double>(counts[c - 1]));
     }
+    std::fprintf(stderr, "  %6d %10.2f %24s %10.1f %10.3f\n", counts[c], wall, ratio,
+                 hwm_mib[c], hwm_mib[c] / counts[c]);
   }
   return 0;
 }

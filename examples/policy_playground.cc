@@ -54,11 +54,11 @@ class RandomPromoter : public TmmPolicy {
       if (!victim.has_value()) {
         break;
       }
-      const RmapEntry* rmap = kernel.Rmap(*victim);
+      const std::optional<RmapEntry> rmap = kernel.Rmap(*victim);
       if (kernel.node(0).free_pages() < 8) {
         auto fmem_victim = kernel.PickVictim(0);
         if (fmem_victim.has_value()) {
-          const RmapEntry* fr = kernel.Rmap(*fmem_victim);
+          const std::optional<RmapEntry> fr = kernel.Rmap(*fmem_victim);
           vm_->MovePage(*kernel.process(fr->pid), fr->vpn, 1, now, &cost);
         }
       }

@@ -170,8 +170,8 @@ bool DemeterBalloon::DemoteOnePage(int node, Nanos now) {
   if (!victim.has_value()) {
     return false;
   }
-  const RmapEntry* rmap = kernel.Rmap(*victim);
-  DEMETER_CHECK(rmap != nullptr);
+  const std::optional<RmapEntry> rmap = kernel.Rmap(*victim);
+  DEMETER_CHECK(rmap.has_value());
   GuestProcess* proc = kernel.process(rmap->pid);
   DEMETER_CHECK(proc != nullptr);
   double cost = 0.0;

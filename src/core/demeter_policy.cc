@@ -166,8 +166,8 @@ RelocationResult DemeterPolicy::RelocatePhysical(const std::vector<HotRange>& ra
     for (PageNum gpa = PageOf(range.start); gpa < PageOf(range.end) && out->size() < cap;
          ++gpa) {
       ++result.ptes_scanned;
-      const RmapEntry* rmap = kernel.Rmap(gpa);
-      if (rmap != nullptr && kernel.NodeOfGpa(gpa) == want_node) {
+      const std::optional<RmapEntry> rmap = kernel.Rmap(gpa);
+      if (rmap.has_value() && kernel.NodeOfGpa(gpa) == want_node) {
         out->push_back(Candidate{rmap->vpn, rmap->pid, freq});
       }
     }
@@ -470,8 +470,8 @@ void DemeterPolicy::HostManageRound(Nanos now) {
     while (far_demote_idx < cold_smem.size()) {
       const PageNum victim = cold_smem[far_demote_idx++];
       work_ns += config_.translate_ns_per_sample;
-      const RmapEntry* rmap = vm_->kernel().Rmap(victim);
-      if (rmap == nullptr) {
+      const std::optional<RmapEntry> rmap = vm_->kernel().Rmap(victim);
+      if (!rmap.has_value()) {
         continue;
       }
       if (host.MigrateGpa(*vm_, victim, kSwapTier, now, &migrate_ns)) {
@@ -487,8 +487,8 @@ void DemeterPolicy::HostManageRound(Nanos now) {
     while (demote_idx < cold_fmem.size()) {
       const PageNum victim = cold_fmem[demote_idx++];
       work_ns += config_.translate_ns_per_sample;
-      const RmapEntry* rmap = vm_->kernel().Rmap(victim);
-      if (rmap == nullptr) {
+      const std::optional<RmapEntry> rmap = vm_->kernel().Rmap(victim);
+      if (!rmap.has_value()) {
         continue;  // Not process-mapped; leave it alone.
       }
       if (host.MigrateGpa(*vm_, victim, kSmemTier, now, &migrate_ns) ||

@@ -95,8 +95,8 @@ InvariantReport InvariantChecker::Check(Hypervisor& hyper, const std::vector<VmV
               return;
             }
             ++node_mapped[static_cast<size_t>(node)];
-            const RmapEntry* rmap = kernel.Rmap(gpa);
-            if (rmap == nullptr || rmap->pid != pid || rmap->vpn != vpn) {
+            const std::optional<RmapEntry> rmap = kernel.Rmap(gpa);
+            if (!rmap.has_value() || rmap->pid != pid || rmap->vpn != vpn) {
               report.violations.push_back(prefix + "rmap for gpa " + std::to_string(gpa) +
                                           " does not name (pid " + std::to_string(pid) +
                                           ", vpn " + std::to_string(vpn) + ")");

@@ -1,6 +1,6 @@
 #include "src/guest/kernel.h"
 
-#include <utility>
+#include <algorithm>
 
 #include "src/base/logging.h"
 
@@ -17,6 +17,7 @@ GuestKernel::GuestKernel(const GuestKernelConfig& config) : config_(config) {
     base += span;
   }
   alloc_fifo_.resize(static_cast<size_t>(config.num_nodes));
+  rmap_.resize(static_cast<size_t>(config.num_nodes));
 }
 
 int GuestKernel::NodeOfGpa(PageNum gpa) const {
@@ -82,10 +83,40 @@ std::optional<PageNum> GuestKernel::AllocGpa(int preferred_node, bool allow_fall
   return std::nullopt;
 }
 
+const uint64_t* GuestKernel::RmapSlot(PageNum gpa) const {
+  const int n = NodeOfGpa(gpa);
+  if (n < 0) {
+    return nullptr;
+  }
+  const std::vector<uint64_t>& slots = rmap_[static_cast<size_t>(n)];
+  const uint64_t offset = gpa - node(n).gpa_base();
+  return offset < slots.size() ? &slots[offset] : nullptr;
+}
+
+void GuestKernel::SetRmap(PageNum gpa, uint64_t packed) {
+  const int n = NodeOfGpa(gpa);
+  DEMETER_CHECK_GE(n, 0) << "gpa " << gpa << " outside every node";
+  std::vector<uint64_t>& slots = rmap_[static_cast<size_t>(n)];
+  const uint64_t offset = gpa - node(n).gpa_base();
+  if (offset >= slots.size()) {
+    // Doubling, but never past the node's span, which no offset exceeds.
+    if (offset >= slots.capacity()) {
+      slots.reserve(std::min<uint64_t>(std::max<uint64_t>(2 * slots.capacity(), offset + 1),
+                                       node(n).span_pages()));
+    }
+    slots.resize(offset + 1, 0);
+  }
+  mapped_pages_ -= slots[offset] != 0 ? 1 : 0;
+  mapped_pages_ += packed != 0 ? 1 : 0;
+  slots[offset] = packed;
+}
+
 void GuestKernel::FreeGpa(PageNum gpa) {
   const int n = NodeOfGpa(gpa);
   DEMETER_CHECK_GE(n, 0);
-  rmap_.erase(gpa);
+  if (const uint64_t* slot = RmapSlot(gpa); slot != nullptr && *slot != 0) {
+    SetRmap(gpa, 0);
+  }
   node(n).FreePage(gpa);
 }
 
@@ -97,7 +128,10 @@ void GuestKernel::DiscardPage(GuestProcess& process, PageNum vpn, PageNum gpa) {
 }
 
 void GuestKernel::RecordAlloc(PageNum gpa, int pid, PageNum vpn) {
-  rmap_[gpa] = RmapEntry{pid, vpn};
+  DEMETER_CHECK(pid > 0 && static_cast<uint64_t>(pid) < (uint64_t{1} << (64 - kRmapVpnBits)))
+      << "pid " << pid;
+  DEMETER_CHECK_LT(vpn, PageTable::kMaxPage);
+  SetRmap(gpa, (static_cast<uint64_t>(pid) << kRmapVpnBits) | vpn);
   const int n = NodeOfGpa(gpa);
   alloc_fifo_[static_cast<size_t>(n)].push_back(gpa);
 }
@@ -125,26 +159,33 @@ std::optional<PageNum> GuestKernel::AdoptPage(GuestProcess& process, PageNum vpn
   return gpa;
 }
 
-const RmapEntry* GuestKernel::Rmap(PageNum gpa) const {
-  auto it = rmap_.find(gpa);
-  return it == rmap_.end() ? nullptr : &it->second;
+std::optional<RmapEntry> GuestKernel::Rmap(PageNum gpa) const {
+  const uint64_t* slot = RmapSlot(gpa);
+  if (slot == nullptr || *slot == 0) {
+    return std::nullopt;
+  }
+  return RmapEntry{static_cast<int>(*slot >> kRmapVpnBits),
+                   *slot & ((uint64_t{1} << kRmapVpnBits) - 1)};
 }
 
 void GuestKernel::OnPageMoved(PageNum old_gpa, PageNum new_gpa) {
-  auto it = rmap_.find(old_gpa);
-  DEMETER_CHECK(it != rmap_.end()) << "moved page has no rmap entry";
-  const RmapEntry entry = it->second;
-  rmap_.erase(it);
-  rmap_[new_gpa] = entry;
+  const uint64_t* old_slot = RmapSlot(old_gpa);
+  DEMETER_CHECK(old_slot != nullptr && *old_slot != 0) << "moved page has no rmap entry";
+  const uint64_t packed = *old_slot;
+  SetRmap(old_gpa, 0);
+  SetRmap(new_gpa, packed);
   const int n = NodeOfGpa(new_gpa);
   alloc_fifo_[static_cast<size_t>(n)].push_back(new_gpa);
 }
 
 void GuestKernel::OnPagesSwapped(PageNum gpa_a, PageNum gpa_b) {
-  auto it_a = rmap_.find(gpa_a);
-  auto it_b = rmap_.find(gpa_b);
-  DEMETER_CHECK(it_a != rmap_.end() && it_b != rmap_.end()) << "swapping unmapped gPAs";
-  std::swap(it_a->second, it_b->second);
+  const uint64_t* slot_a = RmapSlot(gpa_a);
+  const uint64_t* slot_b = RmapSlot(gpa_b);
+  DEMETER_CHECK(slot_a != nullptr && *slot_a != 0 && slot_b != nullptr && *slot_b != 0)
+      << "swapping unmapped gPAs";
+  const uint64_t packed_a = *slot_a;
+  SetRmap(gpa_a, *slot_b);
+  SetRmap(gpa_b, packed_a);
 }
 
 std::optional<PageNum> GuestKernel::PickVictim(int node_id) {
@@ -153,8 +194,7 @@ std::optional<PageNum> GuestKernel::PickVictim(int node_id) {
     const PageNum gpa = fifo.front();
     fifo.pop_front();
     // Lazily skip pages that were freed or migrated away since enqueue.
-    auto it = rmap_.find(gpa);
-    if (it != rmap_.end() && NodeOfGpa(gpa) == node_id) {
+    if (Rmap(gpa).has_value() && NodeOfGpa(gpa) == node_id) {
       // Re-enqueue at the back so repeated picks cycle through the node.
       fifo.push_back(gpa);
       return gpa;

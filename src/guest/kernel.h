@@ -15,7 +15,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/units.h"
@@ -85,8 +84,8 @@ class GuestKernel {
   // fresh zero page). Mirrors Linux's memory_failure() -> kill path.
   void DiscardPage(GuestProcess& process, PageNum vpn, PageNum gpa);
 
-  // Reverse map: gPA -> owning (pid, vpn); nullptr when gPA is free.
-  const RmapEntry* Rmap(PageNum gpa) const;
+  // Reverse map: gPA -> owning (pid, vpn); nullopt when gPA is free.
+  std::optional<RmapEntry> Rmap(PageNum gpa) const;
 
   // Bookkeeping for migrations: the page previously at old_gpa now lives at
   // new_gpa (same owner).
@@ -116,16 +115,28 @@ class GuestKernel {
     vm_id_ = vm_id;
   }
 
-  // Total pages currently mapped by any process (== rmap size).
-  uint64_t mapped_pages() const { return rmap_.size(); }
+  // Total pages currently mapped by any process (== rmap entries).
+  uint64_t mapped_pages() const { return mapped_pages_; }
 
  private:
+  // A reverse-map slot packs (pid << kRmapVpnBits) | vpn; 0 is a free gPA,
+  // since pids start at 1.
+  static constexpr int kRmapVpnBits = PageTable::kLevels * PageTable::kBitsPerLevel;
+
   void RecordAlloc(PageNum gpa, int pid, PageNum vpn);
+  // Slot of `gpa` in its node's reverse map, or nullptr past its end.
+  const uint64_t* RmapSlot(PageNum gpa) const;
+  // Writes a slot, growing its node's reverse map to reach `gpa`.
+  void SetRmap(PageNum gpa, uint64_t packed);
 
   GuestKernelConfig config_;
   std::vector<NumaNode> nodes_;
   std::vector<std::unique_ptr<GuestProcess>> processes_;
-  std::unordered_map<PageNum, RmapEntry> rmap_;
+  // Reverse map, one flat array per node indexed by the gPA's offset in the
+  // node; each grows to the highest offset mapped so far (its capacity
+  // doubles up to the node's span).
+  std::vector<std::vector<uint64_t>> rmap_;
+  uint64_t mapped_pages_ = 0;
   // Per-node allocation FIFO for victim selection; lazily pruned.
   std::vector<std::deque<PageNum>> alloc_fifo_;
   std::vector<CtxHook> ctx_hooks_;

@@ -6,62 +6,84 @@ namespace demeter {
 
 HostMemory::HostMemory(std::vector<TierSpec> tiers) {
   DEMETER_CHECK(!tiers.empty());
+  uint64_t total = 0;
+  for (const TierSpec& spec : tiers) {
+    total += spec.capacity_pages();
+  }
+  DEMETER_CHECK_LE(total, kMaxFrames) << "host has more frames than a 32-bit frame id can name";
   FrameId base = 0;
   for (const TierSpec& spec : tiers) {
     tiers_.emplace_back(spec);
     TierState state;
     state.base = base;
     state.num_frames = spec.capacity_pages();
-    state.free_list.reserve(state.num_frames);
-    // Push in reverse so the LIFO hands out low frame numbers first.
-    for (uint64_t i = state.num_frames; i > 0; --i) {
-      state.free_list.push_back(base + i - 1);
-    }
-    state.allocated.assign(state.num_frames, false);
-    state.poisoned.assign(state.num_frames, false);
     base += state.num_frames;
     states_.push_back(std::move(state));
   }
   total_frames_ = base;
-  tokens_.assign(total_frames_, 0);
+}
+
+std::optional<uint32_t> HostMemory::PopFree(TierState& state) {
+  if (!state.freed.empty()) {
+    const uint32_t offset = state.freed.back();
+    state.freed.pop_back();
+    return offset;
+  }
+  if (state.fresh < state.num_frames) {
+    return static_cast<uint32_t>(state.fresh++);
+  }
+  return std::nullopt;
+}
+
+void HostMemory::PushFree(TierState& state, uint32_t offset) {
+  // A frame returned right on top of the never-used run rejoins it: the
+  // list reads the same either way.
+  if (state.freed.empty() && offset + uint64_t{1} == state.fresh) {
+    --state.fresh;
+  } else {
+    state.freed.push_back(offset);
+  }
 }
 
 std::optional<FrameId> HostMemory::Allocate(TierIndex t) {
   TierState& state = states_[static_cast<size_t>(t)];
-  if (state.free_list.empty()) {
+  const std::optional<uint32_t> offset = PopFree(state);
+  if (!offset.has_value()) {
     return std::nullopt;
   }
-  const FrameId frame = state.free_list.back();
-  state.free_list.pop_back();
-  state.allocated[frame - state.base] = true;
-  return frame;
+  if (*offset >= state.frame_state.size()) {
+    state.frame_state.resize(*offset + size_t{1}, FrameState::kFree);
+    state.tokens.resize(*offset + size_t{1}, 0);
+  }
+  state.frame_state[*offset] = FrameState::kAllocated;
+  return state.base + *offset;
 }
 
 void HostMemory::Free(FrameId frame) {
-  const TierIndex t = TierOf(frame);
-  TierState& state = states_[static_cast<size_t>(t)];
-  DEMETER_CHECK(!state.poisoned[frame - state.base]) << "free of poisoned frame " << frame;
-  DEMETER_CHECK(state.allocated[frame - state.base]) << "double free of frame " << frame;
-  state.allocated[frame - state.base] = false;
-  state.free_list.push_back(frame);
-  tokens_[frame] = 0;
+  TierState& state = TierStateOf(frame);
+  const uint64_t offset = frame - state.base;
+  DEMETER_CHECK(state.StateAt(offset) != FrameState::kPoisoned)
+      << "free of poisoned frame " << frame;
+  DEMETER_CHECK(state.StateAt(offset) == FrameState::kAllocated)
+      << "double free of frame " << frame;
+  state.frame_state[offset] = FrameState::kFree;
+  state.tokens[offset] = 0;
+  PushFree(state, static_cast<uint32_t>(offset));
 }
 
 void HostMemory::Poison(FrameId frame) {
-  const TierIndex t = TierOf(frame);
-  TierState& state = states_[static_cast<size_t>(t)];
-  DEMETER_CHECK(state.allocated[frame - state.base]) << "poison of unallocated frame " << frame;
-  DEMETER_CHECK(!state.poisoned[frame - state.base]) << "double poison of frame " << frame;
-  state.allocated[frame - state.base] = false;
-  state.poisoned[frame - state.base] = true;
+  TierState& state = TierStateOf(frame);
+  const uint64_t offset = frame - state.base;
+  DEMETER_CHECK(state.StateAt(offset) == FrameState::kAllocated)
+      << "poison of unallocated frame " << frame;
+  state.frame_state[offset] = FrameState::kPoisoned;
   ++state.poisoned_count;
-  tokens_[frame] = 0;
+  state.tokens[offset] = 0;
 }
 
 bool HostMemory::IsPoisoned(FrameId frame) const {
-  const TierIndex t = TierOf(frame);
-  const TierState& state = states_[static_cast<size_t>(t)];
-  return state.poisoned[frame - state.base];
+  const TierState& state = TierStateOf(frame);
+  return state.StateAt(frame - state.base) == FrameState::kPoisoned;
 }
 
 uint64_t HostMemory::PoisonedPages(TierIndex t) const {
@@ -71,9 +93,12 @@ uint64_t HostMemory::PoisonedPages(TierIndex t) const {
 uint64_t HostMemory::CarveFree(TierIndex t, uint64_t max_frames) {
   TierState& state = states_[static_cast<size_t>(t)];
   uint64_t carved = 0;
-  while (carved < max_frames && !state.free_list.empty()) {
-    state.carved.push_back(state.free_list.back());
-    state.free_list.pop_back();
+  while (carved < max_frames) {
+    const std::optional<uint32_t> offset = PopFree(state);
+    if (!offset.has_value()) {
+      break;
+    }
+    state.carved.push_back(*offset);
     ++carved;
   }
   return carved;
@@ -84,7 +109,7 @@ void HostMemory::RestoreCarved(TierIndex t) {
   // Push back in reverse carve order so the free list ends up exactly as it
   // was before the carve (the last frame carved returns to the top).
   while (!state.carved.empty()) {
-    state.free_list.push_back(state.carved.back());
+    PushFree(state, state.carved.back());
     state.carved.pop_back();
   }
 }
@@ -94,9 +119,8 @@ uint64_t HostMemory::CarvedPages(TierIndex t) const {
 }
 
 bool HostMemory::IsAllocated(FrameId frame) const {
-  const TierIndex t = TierOf(frame);
-  const TierState& state = states_[static_cast<size_t>(t)];
-  return state.allocated[frame - state.base];
+  const TierState& state = TierStateOf(frame);
+  return state.StateAt(frame - state.base) == FrameState::kAllocated;
 }
 
 uint64_t HostMemory::CapacityPages(TierIndex t) const {
@@ -104,7 +128,8 @@ uint64_t HostMemory::CapacityPages(TierIndex t) const {
 }
 
 uint64_t HostMemory::FreePages(TierIndex t) const {
-  return states_[static_cast<size_t>(t)].free_list.size();
+  const TierState& state = states_[static_cast<size_t>(t)];
+  return state.freed.size() + (state.num_frames - state.fresh);
 }
 
 uint64_t HostMemory::UsedPages(TierIndex t) const {
@@ -112,13 +137,17 @@ uint64_t HostMemory::UsedPages(TierIndex t) const {
 }
 
 uint64_t HostMemory::ReadToken(FrameId frame) const {
-  DEMETER_CHECK_LT(frame, total_frames_);
-  return tokens_[frame];
+  const TierState& state = TierStateOf(frame);
+  const uint64_t offset = frame - state.base;
+  return offset < state.tokens.size() ? state.tokens[offset] : 0;
 }
 
 void HostMemory::WriteToken(FrameId frame, uint64_t token) {
-  DEMETER_CHECK_LT(frame, total_frames_);
-  tokens_[frame] = token;
+  TierState& state = TierStateOf(frame);
+  const uint64_t offset = frame - state.base;
+  DEMETER_CHECK(state.StateAt(offset) == FrameState::kAllocated)
+      << "token write to unallocated frame " << frame;
+  state.tokens[offset] = token;
 }
 
 }  // namespace demeter

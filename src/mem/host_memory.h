@@ -5,6 +5,12 @@
 // FrameId range so TierOf() is a range lookup. The contents token is a
 // 64-bit value logically representing the data stored in the frame — page
 // migration must preserve tokens, which the test suite verifies end to end.
+//
+// Bookkeeping scales with the frames a run touches, not with capacity. Each
+// tier's free list is LIFO: a bump index marks the never-used frames, which
+// sit at its bottom lowest first, and a stack of freed frames sits on top.
+// A frame's state and token are stored only once it has been handed out, so
+// a frame above every frame handed out so far is free with token 0.
 
 #ifndef DEMETER_SRC_MEM_HOST_MEMORY_H_
 #define DEMETER_SRC_MEM_HOST_MEMORY_H_
@@ -21,6 +27,9 @@ namespace demeter {
 
 using FrameId = uint64_t;
 inline constexpr FrameId kInvalidFrame = ~static_cast<FrameId>(0);
+// Every frame id fits in 32 bits (the TLB stores them that narrow); a host
+// with more frames is refused at construction.
+inline constexpr uint64_t kMaxFrames = uint64_t{1} << 32;
 
 // Index of a tier within a HostMemory. By convention, tier 0 is FMEM
 // (fast) and tier 1 is SMEM (slow); three-tier setups add tier 2, the far
@@ -85,7 +94,8 @@ class HostMemory {
   // equal this, so offline frames must not be counted as "used".
   uint64_t UsedPages(TierIndex t) const;
 
-  // Contents token of a frame (logical page data identity).
+  // Contents token of a frame (logical page data identity); 0 for a frame
+  // that holds no data. Only an allocated frame can be written.
   uint64_t ReadToken(FrameId frame) const;
   void WriteToken(FrameId frame, uint64_t token);
 
@@ -93,19 +103,40 @@ class HostMemory {
   uint64_t total_frames() const { return total_frames_; }
 
  private:
+  enum class FrameState : uint8_t { kFree, kAllocated, kPoisoned };
+
+  // Frames are named by their offset from `base` inside a tier.
   struct TierState {
     FrameId base = 0;
     uint64_t num_frames = 0;
-    std::vector<FrameId> free_list;  // LIFO.
-    std::vector<bool> allocated;
-    std::vector<bool> poisoned;
+    // The free list, top first: `freed` from its back, then the never-used
+    // offsets fresh, fresh + 1, ..., num_frames - 1.
+    std::vector<uint32_t> freed;
+    uint64_t fresh = 0;
+    std::vector<uint32_t> carved;  // Stack of offsets removed by CarveFree.
+    // Per offset, up to the highest one handed out; absent means free with
+    // token 0.
+    std::vector<FrameState> frame_state;
+    std::vector<uint64_t> tokens;
     uint64_t poisoned_count = 0;
-    std::vector<FrameId> carved;  // Stack of frames removed by CarveFree.
+
+    FrameState StateAt(uint64_t offset) const {
+      return offset < frame_state.size() ? frame_state[offset] : FrameState::kFree;
+    }
   };
+
+  // Takes the top of the free list; nullopt when it is empty.
+  static std::optional<uint32_t> PopFree(TierState& state);
+  // Puts `offset` on top of the free list.
+  static void PushFree(TierState& state, uint32_t offset);
+
+  TierState& TierStateOf(FrameId frame) { return states_[static_cast<size_t>(TierOf(frame))]; }
+  const TierState& TierStateOf(FrameId frame) const {
+    return states_[static_cast<size_t>(TierOf(frame))];
+  }
 
   std::vector<MemoryTier> tiers_;
   std::vector<TierState> states_;
-  std::vector<uint64_t> tokens_;
   uint64_t total_frames_ = 0;
 };
 

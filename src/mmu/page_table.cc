@@ -1,5 +1,8 @@
 #include "src/mmu/page_table.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "src/base/logging.h"
 
 namespace demeter {
@@ -14,7 +17,7 @@ PageTable::Node* PageTable::FindLeaf(PageNum vpn) const {
     return nullptr;  // Beyond the tree: IndexAt would alias a lower page.
   }
   const PageNum tag = vpn >> kBitsPerLevel;
-  LeafCacheSlot& slot = leaf_cache_[static_cast<size_t>(tag) & (kLeafCacheSlots - 1)];
+  LeafCacheSlot& slot = leaf_cache_[static_cast<size_t>(tag) & leaf_cache_mask_];
   if (slot.tag == tag && slot.epoch == structure_epoch_) {
     return slot.leaf;
   }
@@ -55,8 +58,16 @@ uint64_t* PageTable::FindOrCreateEntry(PageNum vpn) {
   if (created) {
     // Structure changed: conservatively invalidate the whole walk cache by
     // bumping the epoch (node creation is rare — once per 512 mapped pages
-    // in the worst case — next to the walks the cache serves).
+    // in the worst case — next to the walks the cache serves). The last
+    // level created is always a leaf, and an emptied cache can be resized.
     ++structure_epoch_;
+    ++leaf_nodes_;
+    const size_t want =
+        std::min<size_t>(std::bit_ceil(kLeafCacheSlotsPerLeaf * leaf_nodes_), kMaxLeafCacheSlots);
+    if (want > leaf_cache_.size()) {
+      leaf_cache_.assign(want, LeafCacheSlot{});
+      leaf_cache_mask_ = want - 1;
+    }
   }
   return &node->entries[static_cast<size_t>(IndexAt(vpn, kLevels - 1))];
 }

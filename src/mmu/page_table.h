@@ -77,7 +77,7 @@ class PageTable {
   // and the cold descent stays out of line.
   WalkResult Translate(PageNum vpn, bool is_write, bool set_bits) {
     const PageNum tag = vpn >> kBitsPerLevel;
-    const LeafCacheSlot& slot = leaf_cache_[static_cast<size_t>(tag) & (kLeafCacheSlots - 1)];
+    const LeafCacheSlot& slot = leaf_cache_[static_cast<size_t>(tag) & leaf_cache_mask_];
     if (slot.tag == tag && slot.epoch == structure_epoch_) {
       WalkResult result;
       result.levels_touched = kLevels;
@@ -153,13 +153,21 @@ class PageTable {
   // any future reclamation path). Only successful full descents are cached,
   // so cost accounting (levels_touched) is byte-identical: a cached leaf
   // means the uncached walk would have touched exactly kLevels entries.
+  //
+  // The cache holds the power of two at or above four slots per leaf node,
+  // up to kMaxLeafCacheSlots. One slot per leaf would alias an EPT's two
+  // node windows: the slow node's gPAs start at the VM's page count, a
+  // multiple of such a size, so its first leaves would share slots with
+  // the fast node's. The cache grows when a new leaf is allocated, where
+  // the epoch bump has already emptied it.
   struct LeafCacheSlot {
     PageNum tag = ~0ULL;
     Node* leaf = nullptr;
     uint64_t epoch = 0;
   };
-  static constexpr size_t kLeafCacheSlots = 1024;  // Power of two.
-  static_assert((kLeafCacheSlots & (kLeafCacheSlots - 1)) == 0);
+  static constexpr size_t kLeafCacheSlotsPerLeaf = 4;
+  static constexpr size_t kMaxLeafCacheSlots = 1024;  // Power of two.
+  static_assert((kMaxLeafCacheSlots & (kMaxLeafCacheSlots - 1)) == 0);
 
   // Leaf node containing vpn's PTE, or nullptr if the subtree is absent.
   // Serves from the leaf cache when warm; installs on a successful descent.
@@ -188,8 +196,11 @@ class PageTable {
   // table, so the addresses held in entries and the leaf cache stay valid.
   std::vector<std::unique_ptr<Node>> nodes_;
   uint64_t mapped_count_ = 0;
+  uint64_t leaf_nodes_ = 0;
   uint64_t structure_epoch_ = 1;
-  mutable std::array<LeafCacheSlot, kLeafCacheSlots> leaf_cache_{};
+  // Slot `tag & leaf_cache_mask_` caches `tag`; the size is a power of two.
+  mutable std::vector<LeafCacheSlot> leaf_cache_ = std::vector<LeafCacheSlot>(1);
+  size_t leaf_cache_mask_ = 0;
   uint64_t remap_count_ = 0;
   uint64_t remap_dirty_lost_ = 0;
 };

@@ -13,7 +13,7 @@ Tlb::Tlb(int num_sets, int ways) : num_sets_(num_sets), ways_(ways) {
   set_magic_ = UINT64_MAX / static_cast<uint64_t>(num_sets) + 1;  // Wraps to 0 for one set.
   const size_t cap = static_cast<size_t>(num_sets) * static_cast<size_t>(ways);
   tags_.resize(cap, 0);  // Sentinel: everything starts invalid.
-  frames_.resize(cap, kInvalidFrame);
+  frames_.resize(cap, 0);  // Read only behind a live tag.
   // Any starting order will do: a way's place only matters once the way is
   // live, and filling it moves it to the front.
   uint32_t order = 0;

@@ -9,14 +9,16 @@
 // use single-address invalidations because it knows the gVA. Table 1 counts
 // exactly these two instruction kinds.
 //
-// Storage is 16.5 bytes per entry in three set-major arrays (way w of set s
+// Storage is 12.5 bytes per entry in three set-major arrays (way w of set s
 // lives at s*ways_ + w):
 //   * tags_: one word per way, `epoch << kVpnBits | vpn`. A probe compares
 //     one precomputed word per way, and a set's eight tags are 64
 //     contiguous bytes. Liveness is encoded in the epoch field alone: an
 //     entry is live iff its epoch equals the TLB's current epoch. Tag 0 is
 //     the never-valid/invalidated sentinel (the current epoch is never 0).
-//   * frames_: the payload, loaded only for the hitting way.
+//   * frames_: the payload, loaded only for the hitting way. A frame id is
+//     32 bits wide (HostMemory refuses a host with more frames), so the
+//     payload is too.
 //   * order_: one word per set listing its ways most-recent-first, 4 bits
 //     per way. A way moves to the front on every hit and every insert —
 //     exactly where a per-entry LRU tick would be bumped — so the list keeps
@@ -97,6 +99,8 @@ class Tlb {
   // Installs vpn -> frame after a successful walk.
   void Insert(PageNum vpn, FrameId frame) {
     DEMETER_CHECK(Cacheable(vpn)) << "vpn " << vpn << " is outside the 36-bit page space";
+    DEMETER_CHECK_LT(frame, kMaxFrames) << "frame is outside the 32-bit frame space";
+    const uint32_t payload = static_cast<uint32_t>(frame);
     const size_t set = SetOf(vpn);
     const size_t base = set * static_cast<size_t>(ways_);
     const uint64_t tag = TagOf(vpn);
@@ -107,7 +111,7 @@ class Tlb {
     for (int w = 0; w < ways_; ++w) {
       const size_t i = base + static_cast<size_t>(w);
       if (tags_[i] == tag) {
-        frames_[i] = frame;
+        frames_[i] = payload;
         Touch(set, w);
         return;
       }
@@ -119,7 +123,7 @@ class Tlb {
       victim = static_cast<int>((order_[set] >> (4 * (ways_ - 1))) & 0xF);
     }
     tags_[base + static_cast<size_t>(victim)] = tag;
-    frames_[base + static_cast<size_t>(victim)] = frame;
+    frames_[base + static_cast<size_t>(victim)] = payload;
     Touch(set, victim);
   }
 
@@ -171,7 +175,7 @@ class Tlb {
   void ForEachValid(Fn&& fn) const {
     for (size_t i = 0; i < tags_.size(); ++i) {
       if ((tags_[i] >> kVpnBits) == epoch_) {
-        fn(tags_[i] & kVpnMask, frames_[i]);
+        fn(tags_[i] & kVpnMask, static_cast<FrameId>(frames_[i]));
       }
     }
   }
@@ -218,7 +222,7 @@ class Tlb {
   int ways_;
   uint64_t set_magic_ = 0;  // UINT64_MAX / num_sets_ + 1: SetOf's fastmod inverse.
   std::vector<uint64_t> tags_;  // epoch << kVpnBits | vpn; 0 = never valid.
-  std::vector<FrameId> frames_;
+  std::vector<uint32_t> frames_;  // Frame ids, all below kMaxFrames.
   std::vector<uint32_t> order_;  // Per set: ways most-recent-first, 4 bits each.
   uint64_t epoch_ = 1;           // 1..kMaxEpoch; bumped by InvalidateAll.
   uint64_t cold_walks_ = 0;      // Misses left that pay the cold-walk multiplier.

@@ -74,13 +74,18 @@ void HTppPolicy::RunScan(Nanos now) {
   std::vector<PageNum> far_demote;  // Cold SMEM pages: SMEM -> swap victims.
   for (const Seen& s : snapshot) {
     if (s.accessed) {
+      if (s.gpa >= hit_streak_.size()) {
+        hit_streak_.resize(s.gpa + 1, 0);
+      }
       const int streak = ++hit_streak_[s.gpa];
       if (s.tier != kFmemTier && streak >= config_.promote_after_hits &&
           promote.size() < config_.max_promote_per_scan) {
         promote.push_back(s.gpa);
       }
     } else {
-      hit_streak_.erase(s.gpa);
+      if (s.gpa < hit_streak_.size()) {
+        hit_streak_[s.gpa] = 0;
+      }
       if (s.tier == kFmemTier) {
         demote.push_back(s.gpa);
       } else if (has_far && s.tier == kSmemTier) {
@@ -136,7 +141,7 @@ void HTppPolicy::RunScan(Nanos now) {
     if (host.MigrateGpa(*vm_, gpa, kFmemTier, now, &migrate_ns)) {
       ++total_promoted_;
       ++migrated;
-      hit_streak_.erase(gpa);
+      hit_streak_[gpa] = 0;  // A promotion candidate has hit, so its byte exists.
     }
   }
   if (migrated + demoted_this_scan > 0) {

@@ -14,7 +14,7 @@
 #define DEMETER_SRC_TMM_HTPP_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "src/base/units.h"
 #include "src/core/policy.h"
@@ -53,7 +53,9 @@ class HTppPolicy : public TmmPolicy {
 
   HTppConfig config_;
   Vm* vm_ = nullptr;
-  std::unordered_map<PageNum, uint8_t> hit_streak_;  // gPA -> consecutive hits.
+  // Consecutive scans each gPA was seen accessed, one byte per gPA (so a
+  // streak wraps at 256; 0 = none), grown to the highest gPA that hit.
+  std::vector<uint8_t> hit_streak_;
   uint64_t scans_run_ = 0;
   uint64_t total_promoted_ = 0;
   uint64_t total_demoted_ = 0;

@@ -95,7 +95,7 @@ void NomadPolicy::RunScan(Nanos now) {
       if (!victim.has_value()) {
         break;
       }
-      const RmapEntry* rmap = kernel.Rmap(*victim);
+      const std::optional<RmapEntry> rmap = kernel.Rmap(*victim);
       GuestProcess* proc = kernel.process(rmap->pid);
       if (proc == nullptr || !TransactionalMove(rmap->vpn, 1, now, &migrate_ns)) {
         break;

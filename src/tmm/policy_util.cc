@@ -22,7 +22,7 @@ uint64_t DemoteForHeadroom(Vm& vm, uint64_t count, Nanos now, double* cost_ns) {
     if (!victim.has_value()) {
       break;
     }
-    const RmapEntry* rmap = kernel.Rmap(*victim);
+    const std::optional<RmapEntry> rmap = kernel.Rmap(*victim);
     GuestProcess* proc = kernel.process(rmap->pid);
     if (proc == nullptr || !vm.MovePage(*proc, rmap->vpn, /*dst_node=*/1, now, cost_ns)) {
       break;

@@ -18,6 +18,29 @@ void TppPolicy::Attach(Vm& vm, GuestProcess& process, Nanos start) {
   ScheduleNext(start);
 }
 
+void TppPolicy::FitStreaks(const std::vector<std::pair<PageNum, PageNum>>& ranges) {
+  for (const auto& [begin, end] : ranges) {
+    auto it = std::find_if(hit_streak_.begin(), hit_streak_.end(),
+                           [&](const RangeStreaks& r) { return r.begin == begin; });
+    if (it == hit_streak_.end()) {
+      it = hit_streak_.insert(hit_streak_.end(), RangeStreaks{begin, {}});
+    }
+    if (it->hits.size() < end - begin) {
+      it->hits.resize(end - begin, 0);
+    }
+  }
+}
+
+uint8_t& TppPolicy::Streak(PageNum vpn) {
+  for (RangeStreaks& range : hit_streak_) {
+    if (vpn - range.begin < range.hits.size()) {
+      return range.hits[vpn - range.begin];
+    }
+  }
+  DEMETER_CHECK(false) << "vpn " << vpn << " is outside every tracked range";
+  return hit_streak_.front().hits.front();
+}
+
 void TppPolicy::RunScan(Nanos now) {
   if (stopped_) {
     return;
@@ -40,13 +63,13 @@ void TppPolicy::RunScan(Nanos now) {
   const auto visitor = [&](PageNum vpn, uint64_t gpa, bool accessed, bool) {
     ++scanned_pages;
     if (!accessed) {
-      hit_streak_.erase(vpn);
+      Streak(vpn) = 0;
       return;
     }
     vm_->FlushGvaAll(vpn);
     tracking_ns += vm_->SingleFlushCost();
     if (kernel.NodeOfGpa(gpa) != 0) {
-      const int streak = ++hit_streak_[vpn];
+      const int streak = ++Streak(vpn);
       // A swap-backed page qualifies on its first observed hit: every
       // access it takes is a major fault, so making it wait out the
       // streak threshold costs device reads, not just SMEM latency.
@@ -58,6 +81,7 @@ void TppPolicy::RunScan(Nanos now) {
     }
   };
   const auto ranges = TrackedPageRanges(*process_);
+  FitStreaks(ranges);
   uint64_t span_total = 0;
   for (const auto& [begin, end] : ranges) {
     span_total += end - begin;
@@ -122,7 +146,7 @@ void TppPolicy::RunScan(Nanos now) {
     migrate_ns += costs.guest_fault_ns;
     if (vm_->MovePage(*process_, vpn, /*dst_node=*/0, now, &migrate_ns)) {
       ++total_promoted_;
-      hit_streak_.erase(vpn);
+      Streak(vpn) = 0;
     } else {
       break;  // FMEM dry despite demotion; retry next scan.
     }

@@ -19,7 +19,8 @@
 #define DEMETER_SRC_TMM_TPP_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/base/units.h"
 #include "src/core/policy.h"
@@ -57,13 +58,25 @@ class TppPolicy : public TmmPolicy {
   uint64_t total_far_demoted() const { return total_far_demoted_; }
 
  private:
+  // Consecutive scans a tracked page was seen accessed on a slow node, one
+  // byte per page (so a streak wraps at 256; 0 = none), per tracked range.
+  // A range is keyed by its first page: a tracked VMA keeps its start and
+  // only grows at its end.
+  struct RangeStreaks {
+    PageNum begin = 0;
+    std::vector<uint8_t> hits;  // Indexed by vpn - begin.
+  };
+
   void RunScan(Nanos now);
   void ScheduleNext(Nanos now);
+  // Gives every tracked range its streak bytes, sized to the range.
+  void FitStreaks(const std::vector<std::pair<PageNum, PageNum>>& ranges);
+  uint8_t& Streak(PageNum vpn);
 
   TppConfig config_;
   Vm* vm_ = nullptr;
   GuestProcess* process_ = nullptr;
-  std::unordered_map<PageNum, uint8_t> hit_streak_;  // vpn -> consecutive scans accessed.
+  std::vector<RangeStreaks> hit_streak_;
   uint64_t scan_cursor_ = 0;  // Page offset into the concatenated tracked span.
   uint64_t scans_run_ = 0;
   uint64_t total_promoted_ = 0;

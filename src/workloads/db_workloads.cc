@@ -35,9 +35,8 @@ void BtreeWorkload::NextBatch(int worker, size_t count, Rng& rng, std::vector<Ac
   (void)worker;
   const size_t levels = static_cast<size_t>(levels_);
   const size_t lookups = count / levels;
-  const size_t first = ops->size();
-  ops->resize(first + lookups * levels);
-  AccessOp* out = ops->data() + first;
+  // Appended op by op, so no slot is value-initialised first; the harness
+  // reuses one batch vector, whose capacity is already there.
   for (size_t i = 0; i < lookups; ++i) {
     const uint64_t key = rng.NextBelow(leaf_count_);
     // Descend: the node at level l is key / fanout^(levels-1-l). Level l
@@ -45,7 +44,8 @@ void BtreeWorkload::NextBatch(int worker, size_t count, Rng& rng, std::vector<Ac
     // key < leaf_count_, so that index is always in range.
     int shift = kFanoutBits * (levels_ - 1);
     for (size_t l = 0; l < levels; ++l, shift -= kFanoutBits) {
-      *out++ = AccessOp{level_base_[l] + ((key >> shift) << kNodeBytesBits), /*is_write=*/false};
+      ops->push_back(
+          AccessOp{level_base_[l] + ((key >> shift) << kNodeBytesBits), /*is_write=*/false});
     }
   }
 }

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <iterator>
+#include <map>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/base/units.h"
 #include "src/guest/address_space.h"
 #include "src/guest/bounded_queue.h"
@@ -184,8 +190,8 @@ TEST(GuestKernel, FaultMapsGptAndRmap) {
   auto gpa = kernel.HandleFault(proc, 777, &cost);
   ASSERT_TRUE(gpa.has_value());
   EXPECT_EQ(proc.gpt().Lookup(777).target, *gpa);
-  const RmapEntry* rmap = kernel.Rmap(*gpa);
-  ASSERT_NE(rmap, nullptr);
+  const std::optional<RmapEntry> rmap = kernel.Rmap(*gpa);
+  ASSERT_TRUE(rmap.has_value());
   EXPECT_EQ(rmap->pid, proc.pid());
   EXPECT_EQ(rmap->vpn, 777u);
   EXPECT_EQ(kernel.mapped_pages(), 1u);
@@ -228,9 +234,9 @@ TEST(GuestKernel, OnPageMovedUpdatesRmap) {
   auto new_gpa = kernel.AllocGpa(1, false, &cost);
   ASSERT_TRUE(new_gpa.has_value());
   kernel.OnPageMoved(*old_gpa, *new_gpa);
-  EXPECT_EQ(kernel.Rmap(*old_gpa), nullptr);
-  const RmapEntry* rmap = kernel.Rmap(*new_gpa);
-  ASSERT_NE(rmap, nullptr);
+  EXPECT_FALSE(kernel.Rmap(*old_gpa).has_value());
+  const std::optional<RmapEntry> rmap = kernel.Rmap(*new_gpa);
+  ASSERT_TRUE(rmap.has_value());
   EXPECT_EQ(rmap->vpn, 10u);
 }
 
@@ -272,6 +278,165 @@ TEST(GuestKernel, PickVictimSkipsFreedPages) {
 TEST(GuestKernel, PickVictimEmptyNode) {
   GuestKernel kernel(SmallKernelConfig());
   EXPECT_FALSE(kernel.PickVictim(0).has_value());
+}
+
+// The reverse map and victim FIFOs as they stood before the rmap became a
+// flat array: one std::map entry per mapped gPA.
+class ReferenceRmap {
+ public:
+  explicit ReferenceRmap(const GuestKernel& kernel)
+      : kernel_(kernel), fifo_(static_cast<size_t>(kernel.num_nodes())) {}
+
+  void Record(PageNum gpa, int pid, PageNum vpn) {
+    rmap_[gpa] = RmapEntry{pid, vpn};
+    fifo_[static_cast<size_t>(kernel_.NodeOfGpa(gpa))].push_back(gpa);
+  }
+  void Moved(PageNum old_gpa, PageNum new_gpa) {
+    const RmapEntry entry = rmap_.at(old_gpa);
+    rmap_.erase(old_gpa);
+    rmap_[new_gpa] = entry;
+    fifo_[static_cast<size_t>(kernel_.NodeOfGpa(new_gpa))].push_back(new_gpa);
+  }
+  void Swapped(PageNum gpa_a, PageNum gpa_b) { std::swap(rmap_.at(gpa_a), rmap_.at(gpa_b)); }
+  void Freed(PageNum gpa) { rmap_.erase(gpa); }
+
+  std::optional<PageNum> PickVictim(int node) {
+    std::deque<PageNum>& fifo = fifo_[static_cast<size_t>(node)];
+    while (!fifo.empty()) {
+      const PageNum gpa = fifo.front();
+      fifo.pop_front();
+      if (rmap_.count(gpa) != 0 && kernel_.NodeOfGpa(gpa) == node) {
+        fifo.push_back(gpa);
+        return gpa;
+      }
+    }
+    return std::nullopt;
+  }
+
+  const std::map<PageNum, RmapEntry>& rmap() const { return rmap_; }
+
+ private:
+  const GuestKernel& kernel_;
+  std::map<PageNum, RmapEntry> rmap_;
+  std::vector<std::deque<PageNum>> fifo_;
+};
+
+void ExpectSameRmap(const GuestKernel& kernel, const ReferenceRmap& ref, PageNum gpa_end,
+                    const std::string& at) {
+  ASSERT_EQ(kernel.mapped_pages(), ref.rmap().size()) << at;
+  for (PageNum gpa = 0; gpa < gpa_end; ++gpa) {
+    const std::optional<RmapEntry> got = kernel.Rmap(gpa);
+    const auto want = ref.rmap().find(gpa);
+    ASSERT_EQ(got.has_value(), want != ref.rmap().end()) << at << ", gpa " << gpa;
+    if (got.has_value()) {
+      ASSERT_EQ(got->pid, want->second.pid) << at << ", gpa " << gpa;
+      ASSERT_EQ(got->vpn, want->second.vpn) << at << ", gpa " << gpa;
+    }
+  }
+}
+
+// A seeded stream of faults, adoptions, moves, swaps, frees, discards and
+// victim picks, with the GPTs kept consistent, drives the kernel and the
+// std::map reference in lockstep. Small shuffled nodes make allocation
+// scatter over the gPA space and run dry; the vpns span the whole 36-bit
+// page space so the packed entries carry their top bits.
+TEST(GuestKernel, FlatRmapMatchesMapReference) {
+  GuestKernelConfig config = SmallKernelConfig(48, 96);
+  config.free_list_shuffle_seed = 11;
+  GuestKernel kernel(config);
+  ReferenceRmap ref(kernel);
+  std::vector<GuestProcess*> procs = {&kernel.CreateProcess(), &kernel.CreateProcess(),
+                                      &kernel.CreateProcess()};
+  const PageNum gpa_end = kernel.node(kernel.num_nodes() - 1).gpa_end() + 8;
+  Rng rng(0x4a9);
+  // A mapped gPA drawn uniformly, with its owner.
+  auto pick_mapped = [&](PageNum* gpa, GuestProcess** proc, PageNum* vpn) {
+    auto it = ref.rmap().begin();
+    std::advance(it, static_cast<long>(rng.NextBelow(ref.rmap().size())));
+    *gpa = it->first;
+    *proc = kernel.process(it->second.pid);
+    *vpn = it->second.vpn;
+  };
+  int victims = 0;
+  int moves = 0;
+  int swaps = 0;
+  double cost = 0.0;
+  constexpr int kOps = 6000;
+  for (int op = 0; op < kOps; ++op) {
+    const std::string at = "op " + std::to_string(op);
+    const uint64_t kind = rng.NextBelow(100);
+    if (kind < 35) {
+      GuestProcess& proc = *procs[rng.NextBelow(procs.size())];
+      const PageNum vpn = rng.NextBool(0.1) ? PageTable::kMaxPage - 1 - rng.NextBelow(64)
+                                            : rng.NextBelow(512);
+      if (proc.gpt().IsMapped(vpn)) {
+        continue;
+      }
+      const bool adopt = kind >= 25;
+      const std::optional<PageNum> gpa =
+          adopt ? kernel.AdoptPage(proc, vpn, static_cast<int>(rng.NextBelow(2)), &cost)
+                : kernel.HandleFault(proc, vpn, &cost);
+      if (gpa.has_value()) {
+        ref.Record(*gpa, proc.pid(), vpn);
+      }
+    } else if (ref.rmap().empty()) {
+      continue;
+    } else if (kind < 50) {
+      PageNum old_gpa;
+      GuestProcess* proc;
+      PageNum vpn;
+      pick_mapped(&old_gpa, &proc, &vpn);
+      const int dst = 1 - kernel.NodeOfGpa(old_gpa);
+      const std::optional<PageNum> new_gpa = kernel.AllocGpa(dst, false, &cost);
+      if (!new_gpa.has_value()) {
+        continue;
+      }
+      ASSERT_TRUE(proc->gpt().Remap(vpn, *new_gpa));
+      kernel.OnPageMoved(old_gpa, *new_gpa);
+      kernel.FreeGpa(old_gpa);
+      ref.Moved(old_gpa, *new_gpa);
+      ++moves;
+    } else if (kind < 60) {
+      PageNum gpa_a, gpa_b, vpn_a, vpn_b;
+      GuestProcess *proc_a, *proc_b;
+      pick_mapped(&gpa_a, &proc_a, &vpn_a);
+      pick_mapped(&gpa_b, &proc_b, &vpn_b);
+      if (gpa_a == gpa_b) {
+        continue;
+      }
+      ASSERT_TRUE(proc_a->gpt().Remap(vpn_a, gpa_b));
+      ASSERT_TRUE(proc_b->gpt().Remap(vpn_b, gpa_a));
+      kernel.OnPagesSwapped(gpa_a, gpa_b);
+      ref.Swapped(gpa_a, gpa_b);
+      ++swaps;
+    } else if (kind < 72) {
+      PageNum gpa;
+      GuestProcess* proc;
+      PageNum vpn;
+      pick_mapped(&gpa, &proc, &vpn);
+      if (rng.NextBool(0.5)) {
+        kernel.DiscardPage(*proc, vpn, gpa);
+      } else {
+        ASSERT_EQ(proc->gpt().Unmap(vpn), gpa);
+        kernel.FreeGpa(gpa);
+      }
+      ref.Freed(gpa);
+    } else {
+      const int node = static_cast<int>(rng.NextBelow(2));
+      const std::optional<PageNum> victim = kernel.PickVictim(node);
+      ASSERT_EQ(victim, ref.PickVictim(node)) << at << ": PickVictim(" << node << ")";
+      victims += victim.has_value() ? 1 : 0;
+    }
+    ASSERT_EQ(kernel.mapped_pages(), ref.rmap().size()) << at;
+    if (op % 16 == 0) {
+      ExpectSameRmap(kernel, ref, gpa_end, at);
+    }
+  }
+  ExpectSameRmap(kernel, ref, gpa_end, "end");
+  EXPECT_GT(victims, 500);
+  EXPECT_GT(moves, 100);
+  EXPECT_GT(swaps, 100);
+  EXPECT_GT(kernel.stats().oom_failures, 0u) << "the nodes never ran dry";
 }
 
 TEST(GuestKernel, ContextSwitchHooksCharge) {

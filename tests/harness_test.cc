@@ -1,11 +1,26 @@
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
+#include <cstddef>
 #include <initializer_list>
 #include <utility>
 
 #include "src/harness/machine.h"
 #include "src/harness/table.h"
+
+// Sanitizers replace malloc, so glibc's arena statistics say nothing there.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DEMETER_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define DEMETER_TEST_SANITIZED 1
+#endif
+#endif
 
 namespace demeter {
 namespace {
@@ -332,6 +347,59 @@ TEST(Machine, PolicyNamesRoundTrip) {
     EXPECT_EQ(PolicyKindFromName(PolicyKindName(kind)), kind);
   }
   EXPECT_DEATH(PolicyKindFromName("bogus"), "unknown policy");
+}
+
+// Simulator heap per tenant on a 16-tenant host shaped like perfbench's
+// dense-scan: 16 MiB btree tenants alternating TPP / TPP-H, every 8th
+// booting late and every 5th departing, run to their targets. glibc's
+// in-use bytes (small chunks plus mmapped blocks) are read before the
+// machine exists and once every tenant has finished, while all of its
+// state is still live. The budget is the 560,000 bytes per tenant measured
+// with host, guest and TLB bookkeeping sized to what the run touches, plus
+// 25%. Sized by configured capacity (eager host frame arrays, 8-byte TLB
+// payloads, 1024-slot leaf caches, hash-node rmaps and streaks) the same
+// host read 989,836.
+TEST(Machine, DenseHostHeapPerTenantWithinBudget) {
+#if !defined(__GLIBC__) || __GLIBC__ < 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ < 33) || \
+    defined(DEMETER_TEST_SANITIZED)
+  GTEST_SKIP() << "needs glibc's own malloc statistics (mallinfo2)";
+#else
+  constexpr int kTenants = 16;
+  constexpr uint64_t kVmBytes = 16 * kMiB;
+  constexpr size_t kBudgetPerTenant = size_t{560000} * 5 / 4;
+  const auto in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  MachineConfig config;
+  config.tiers = {TierSpec::LocalDram(PageCeil(kVmBytes * kTenants / 4)),
+                  TierSpec::Pmem(kVmBytes * kTenants * 2)};
+  const size_t before = in_use();
+  Machine machine(config);
+  for (int v = 0; v < kTenants; ++v) {
+    VmSetup setup;
+    setup.vm.total_memory_bytes = kVmBytes;
+    setup.vm.fmem_ratio = 0.2;
+    setup.vm.num_vcpus = 2;
+    setup.workload = "btree";
+    setup.footprint_bytes = PageFloor(kVmBytes * 3 / 4);
+    setup.target_transactions = 20000;
+    setup.policy = v % 2 == 0 ? PolicyKind::kTpp : PolicyKind::kHTpp;
+    setup.policy_period = 15 * kMillisecond;
+    if (v % 8 == 7) {
+      setup.boot_at = 5 * kMillisecond * static_cast<Nanos>(1 + v % 4);
+    }
+    setup.depart_on_finish = v % 5 == 4;
+    machine.AddVm(setup);
+  }
+  machine.StartRun();
+  while (machine.StepUntil(Machine::kNoHorizon)) {
+  }
+  const size_t per_tenant = (in_use() - before) / kTenants;
+  RecordProperty("heap_bytes_per_tenant", static_cast<int>(per_tenant));
+  EXPECT_LE(per_tenant, kBudgetPerTenant) << per_tenant << " bytes per tenant";
+  machine.FinishRun();
+#endif
 }
 
 TEST(TablePrinterTest, FormatsNumbers) {

@@ -625,8 +625,8 @@ TEST_F(ThreeTierTest, DemotionChainRetainsFlagsAndSlot) {
   EXPECT_EQ(hyper_.swap()->ActiveSlots(), 0u) << "slot released on swap-in";
   EXPECT_EQ(memory_.UsedPages(kSwapTier), 0u);
   EXPECT_EQ(proc.gpt().Lookup(vpn).target, gpa) << "guest view never changed";
-  const RmapEntry* rmap = vm.kernel().Rmap(gpa);
-  ASSERT_NE(rmap, nullptr);
+  const std::optional<RmapEntry> rmap = vm.kernel().Rmap(gpa);
+  ASSERT_TRUE(rmap.has_value());
   EXPECT_EQ(rmap->vpn, vpn);
   EXPECT_TRUE(InvariantChecker::Check(hyper_, {}).ok());
 }

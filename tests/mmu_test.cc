@@ -530,7 +530,9 @@ TEST_P(TlbDifferentialTest, MatchesReferenceOnMixedStream) {
         }
       }
     } else if (kind < 800000) {
-      const FrameId frame = rng.Next() & 0xffffffffffULL;
+      // Frame ids span the 32-bit payload, its top values included.
+      const FrameId frame =
+          rng.NextBool(0.05) ? kMaxFrames - 1 - rng.NextBelow(4) : rng.Next() & (kMaxFrames - 1);
       tlb.Insert(vpn, frame);
       ref.Insert(vpn, frame);
     } else if (kind < 900000) {
@@ -785,6 +787,16 @@ TEST(Tlb, PagesBeyondMaxPageAreNeverCached) {
   EXPECT_EQ(tlb.stats().single_flushes, 1u) << "the flush instruction still counts";
   EXPECT_EQ(tlb.Lookup(5), 105u) << "flushing the alias dropped page 5";
   EXPECT_DEATH(tlb.Insert(alias, 1), "outside the 36-bit page space");
+}
+
+// The payload is a 32-bit frame id: the top one round-trips, and one past
+// it (which no HostMemory can hand out) is refused rather than truncated.
+TEST(Tlb, FramesBeyond32BitsAbort) {
+  Tlb tlb;
+  tlb.Insert(5, kMaxFrames - 1);
+  EXPECT_EQ(tlb.Lookup(5), kMaxFrames - 1);
+  EXPECT_DEATH(tlb.Insert(6, kMaxFrames), "outside the 32-bit frame space");
+  EXPECT_DEATH(tlb.Insert(6, kInvalidFrame), "outside the 32-bit frame space");
 }
 
 TEST(Tlb, ConstructorChecksGeometry) {

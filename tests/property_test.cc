@@ -105,8 +105,8 @@ TEST_P(PolicyIntegrityTest, NoPageLostOrCorrupted) {
 
   // Property 2: rmap agrees with the page table.
   proc.gpt().ForEachPresent(0, PageTable::kMaxPage, [&](PageNum vpn, uint64_t gpa, bool, bool) {
-    const RmapEntry* rmap = vm.kernel().Rmap(gpa);
-    ASSERT_NE(rmap, nullptr);
+    const std::optional<RmapEntry> rmap = vm.kernel().Rmap(gpa);
+    ASSERT_TRUE(rmap.has_value());
     EXPECT_EQ(rmap->vpn, vpn);
     EXPECT_EQ(rmap->pid, proc.pid());
   });

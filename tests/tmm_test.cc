@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "src/base/units.h"
 #include "src/fault/invariant_checker.h"
@@ -209,6 +211,86 @@ TEST_F(TmmTest, NomadMigrationCostExceedsTpp) {
   EXPECT_GT(nomad_cost_per_page, tpp_cost_per_page);
 }
 
+// A streak is one byte per page: a page seen hot on the slow node for 256
+// scans in a row wraps back to 0. Here FMEM stays dry through scan 255, so
+// every promotion of the hot page fails and its streak keeps counting; with
+// room from scan 256 on, the wrapped streak (0, then 1) holds the page back
+// until scan 258, where it reaches the threshold of 2 again.
+TEST_F(TmmTest, TppStreakWrapsAt256) {
+  Vm& vm = MakeVm();
+  GuestProcess& proc = vm.kernel().CreateProcess();
+  const uint64_t total = vm.config().total_pages();
+  const uint64_t base = FillHeap(vm, proc, total);  // Both guest nodes full.
+  ASSERT_EQ(vm.kernel().node(0).free_pages(), 0u);
+  ASSERT_EQ(vm.kernel().node(1).free_pages(), 0u);
+  const uint64_t hot = base + (total - 1) * kPageSize;
+  ASSERT_EQ(vm.NodeOfVpn(proc, PageOf(hot)), 1);
+
+  TppConfig config;
+  config.scan_period = kMillisecond;
+  TppPolicy policy(config);
+  const Nanos start = vm.vcpu(0).now();
+  policy.Attach(vm, proc, start);
+  const auto scan = [&](uint64_t k) {  // Touch the hot page, then run scan k.
+    vm.ExecuteAccess(0, proc, hot, /*is_write=*/false);
+    events_.RunUntil(start + static_cast<Nanos>(k) * kMillisecond);
+    ASSERT_EQ(policy.scans_run(), k);
+  };
+  for (uint64_t k = 1; k <= 255; ++k) {
+    scan(k);
+  }
+  EXPECT_EQ(vm.NodeOfVpn(proc, PageOf(hot)), 1) << "FMEM was dry";
+  const PageNum fmem_vpn = PageOf(base);
+  ASSERT_EQ(vm.NodeOfVpn(proc, fmem_vpn), 0);
+  vm.kernel().DiscardPage(proc, fmem_vpn, proc.gpt().Lookup(fmem_vpn).target);
+  scan(256);
+  EXPECT_EQ(vm.NodeOfVpn(proc, PageOf(hot)), 1) << "streak 256 wraps to 0";
+  scan(257);
+  EXPECT_EQ(vm.NodeOfVpn(proc, PageOf(hot)), 1) << "streak 1";
+  scan(258);
+  EXPECT_EQ(vm.NodeOfVpn(proc, PageOf(hot)), 0) << "streak 2 promotes";
+  EXPECT_EQ(policy.total_promoted(), 1u);
+}
+
+// TPP-H's streaks are keyed by gPA and wrap the same way. Host FMEM is taken
+// before the VM faults, so every page lands in SMEM and no promotion can
+// make room by demoting; one frame comes back before scan 256.
+TEST_F(TmmTest, HTppStreakWrapsAt256) {
+  std::vector<FrameId> held;
+  while (const std::optional<FrameId> frame = memory_.Allocate(kFmemTier)) {
+    held.push_back(*frame);
+  }
+  Vm& vm = MakeVm();
+  GuestProcess& proc = vm.kernel().CreateProcess();
+  const uint64_t hot = FillHeap(vm, proc, 512);
+  const PageNum gpa = proc.gpt().Lookup(PageOf(hot)).target;
+  const auto hot_tier = [&] { return memory_.TierOf(vm.ept().Lookup(gpa).target); };
+  ASSERT_EQ(hot_tier(), kSmemTier);
+
+  HTppConfig config;
+  config.scan_period = kMillisecond;
+  HTppPolicy policy(config);
+  const Nanos start = vm.vcpu(0).now();
+  policy.Attach(vm, proc, start);
+  const auto scan = [&](uint64_t k) {
+    vm.ExecuteAccess(0, proc, hot, /*is_write=*/false);
+    events_.RunUntil(start + static_cast<Nanos>(k) * kMillisecond);
+    ASSERT_EQ(policy.scans_run(), k);
+  };
+  for (uint64_t k = 1; k <= 255; ++k) {
+    scan(k);
+  }
+  EXPECT_EQ(hot_tier(), kSmemTier) << "host FMEM was full";
+  memory_.Free(held.back());
+  scan(256);
+  EXPECT_EQ(hot_tier(), kSmemTier) << "streak 256 wraps to 0";
+  scan(257);
+  EXPECT_EQ(hot_tier(), kSmemTier) << "streak 1";
+  scan(258);
+  EXPECT_EQ(hot_tier(), kFmemTier) << "streak 2 promotes";
+  EXPECT_EQ(policy.total_promoted(), 1u);
+}
+
 TEST_F(TmmTest, StoppedPoliciesCeaseWork) {
   Vm& vm = MakeVm();
   GuestProcess& proc = vm.kernel().CreateProcess();
@@ -366,8 +448,8 @@ TEST_F(ThreeTierTmmTest, EveryPolicyPromotesHotSwapBackedPages) {
     // The guest mapping survived the round trip: the rmap still names the
     // page, and no TLB anywhere went stale.
     const PageNum gpa = proc.gpt().Lookup(PageOf(hot_base)).target;
-    const RmapEntry* rmap = vm.kernel().Rmap(gpa);
-    ASSERT_NE(rmap, nullptr) << entry.name;
+    const std::optional<RmapEntry> rmap = vm.kernel().Rmap(gpa);
+    ASSERT_TRUE(rmap.has_value()) << entry.name;
     EXPECT_EQ(rmap->vpn, PageOf(hot_base)) << entry.name;
     EXPECT_TRUE(InvariantChecker::Check(hyper_, {}).ok()) << entry.name;
 

@@ -185,14 +185,27 @@ TEST(BtreeWorkload, DescentMatchesDivisionReference) {
     Rng ref_rng(0xb7 + leaves);
     std::vector<AccessOp> got = {AccessOp{1, true}};  // NextBatch appends.
     std::vector<AccessOp> want = got;
-    for (const size_t count : {size_t{1}, size_t{7}, size_t{1000}, size_t{4096}}) {
-      btree.NextBatch(0, count, rng, &got);
-      ref.NextBatch(count, ref_rng, &want);
-    }
-    ASSERT_EQ(got.size(), want.size()) << leaves << " leaves";
-    for (size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].gva, want[i].gva) << leaves << " leaves, op " << i;
-      ASSERT_EQ(got[i].is_write, want[i].is_write) << leaves << " leaves, op " << i;
+    // Whole batches must match, the op already in the vector included, both
+    // when the vector grows and when it is cleared and reused as the
+    // harness does.
+    struct Batch {
+      size_t count;
+      bool reuse;
+    };
+    for (const Batch batch : {Batch{1, false}, Batch{7, false}, Batch{1000, false},
+                              Batch{4096, false}, Batch{0, false}, Batch{512, true},
+                              Batch{512, true}}) {
+      if (batch.reuse) {
+        got.clear();
+        want.clear();
+      }
+      btree.NextBatch(0, batch.count, rng, &got);
+      ref.NextBatch(batch.count, ref_rng, &want);
+      ASSERT_EQ(got.size(), want.size()) << leaves << " leaves, batch of " << batch.count;
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].gva, want[i].gva) << leaves << " leaves, op " << i;
+        ASSERT_EQ(got[i].is_write, want[i].is_write) << leaves << " leaves, op " << i;
+      }
     }
   }
   EXPECT_EQ(seen_levels, 6);
