@@ -39,6 +39,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <limits>
 #include <map>
@@ -426,6 +427,20 @@ inline std::vector<ExperimentResult> RunSpecs(const BenchScale& scale,
   std::vector<ExperimentResult> results = runner.RunAll();
   WriteOutputs(scale, results);
   return results;
+}
+
+// The process's resident-set high water mark in MiB (Linux VmHWM), or a
+// negative value where /proc/self/status does not report it. Benches print
+// it on stderr, where run-to-run differences leave stdout byte-identical.
+inline double PeakRssMib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stod(line.substr(6)) / 1024.0;  // Reported in kB.
+    }
+  }
+  return -1.0;
 }
 
 // For benches whose tables need every result: aborts naming the first

@@ -22,7 +22,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -37,19 +36,6 @@ namespace {
 
 constexpr int kFullCounts[] = {16, 64, 256};
 constexpr int kSmokeCounts[] = {4, 8, 16};
-
-// The process's resident-set high water mark in MiB (Linux VmHWM), or a
-// negative value where /proc/self/status does not report it.
-double PeakRssMib() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::stod(line.substr(6)) / 1024.0;  // Reported in kB.
-    }
-  }
-  return -1.0;
-}
 
 ExperimentSpec DenseSpec(const BenchScale& scale, int num_vms, uint64_t transactions,
                          double bw_scale) {

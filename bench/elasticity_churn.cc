@@ -11,7 +11,8 @@
 // SIGBUS discards, clean MCE recoveries, and the shrink engine's eviction
 // work, including the no-fallback ablation ("demeter-nofb") that shows what
 // the host-side watchdog is worth when the guest engine is down during a
-// shrink window.
+// shrink window. After the sweep, stderr shows the process's resident-set
+// high water mark (VmHWM).
 //
 // This bench owns its fault schedule; the generic --faults flag is rejected
 // here to avoid silently mixing two schedules.
@@ -92,6 +93,7 @@ int Run(int argc, char** argv) {
     }
   }
   const std::vector<ExperimentResult> results = RunSpecs(scale, std::move(specs));
+  std::fprintf(stderr, "peak resident set after the sweep: %.1f MiB (VmHWM)\n", PeakRssMib());
   TableSink table;
   EmitResults(results, {&table});
 

@@ -16,7 +16,9 @@
 // conservation identities end-to-end: every migration start resolves
 // exactly one way (completed + aborted + cancelled + fenced) and every
 // kill resolves exactly one way (restarted + lost, with an empty queue
-// once the fleet drains).
+// once the fleet drains). After the sweep, stderr shows the process's
+// resident-set high water mark (VmHWM): hosts kill and restart VMs, and a
+// killed VM frees its simulator storage when it leaves its host.
 //
 // Fleet-specific flags (pre-filtered before the shared flag parser):
 //   --fleet=VxH  V VMs across H hosts (default 32x4; --full 64x8;
@@ -206,6 +208,7 @@ int Run(int argc, char** argv) {
   }
   const std::vector<ExperimentResult> results = RunSpecs(scale, std::move(specs));
   CheckAllOk(results);
+  std::fprintf(stderr, "peak resident set after the sweep: %.1f MiB (VmHWM)\n", PeakRssMib());
   TableSink table;
   EmitResults(results, {&table});
 

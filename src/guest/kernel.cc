@@ -132,8 +132,12 @@ void GuestKernel::RecordAlloc(PageNum gpa, int pid, PageNum vpn) {
       << "pid " << pid;
   DEMETER_CHECK_LT(vpn, PageTable::kMaxPage);
   SetRmap(gpa, (static_cast<uint64_t>(pid) << kRmapVpnBits) | vpn);
+  PushAllocated(gpa);
+}
+
+void GuestKernel::PushAllocated(PageNum gpa) {
   const int n = NodeOfGpa(gpa);
-  alloc_fifo_[static_cast<size_t>(n)].push_back(gpa);
+  alloc_fifo_[static_cast<size_t>(n)].push_back(static_cast<uint32_t>(gpa - node(n).gpa_base()));
 }
 
 std::optional<PageNum> GuestKernel::HandleFault(GuestProcess& process, PageNum vpn,
@@ -174,8 +178,7 @@ void GuestKernel::OnPageMoved(PageNum old_gpa, PageNum new_gpa) {
   const uint64_t packed = *old_slot;
   SetRmap(old_gpa, 0);
   SetRmap(new_gpa, packed);
-  const int n = NodeOfGpa(new_gpa);
-  alloc_fifo_[static_cast<size_t>(n)].push_back(new_gpa);
+  PushAllocated(new_gpa);
 }
 
 void GuestKernel::OnPagesSwapped(PageNum gpa_a, PageNum gpa_b) {
@@ -190,17 +193,31 @@ void GuestKernel::OnPagesSwapped(PageNum gpa_a, PageNum gpa_b) {
 
 std::optional<PageNum> GuestKernel::PickVictim(int node_id) {
   auto& fifo = alloc_fifo_[static_cast<size_t>(node_id)];
+  const std::vector<uint64_t>& slots = rmap_[static_cast<size_t>(node_id)];
   while (!fifo.empty()) {
-    const PageNum gpa = fifo.front();
+    const uint32_t offset = fifo.front();
     fifo.pop_front();
     // Lazily skip pages that were freed or migrated away since enqueue.
-    if (Rmap(gpa).has_value() && NodeOfGpa(gpa) == node_id) {
+    if (offset < slots.size() && slots[offset] != 0) {
       // Re-enqueue at the back so repeated picks cycle through the node.
-      fifo.push_back(gpa);
-      return gpa;
+      fifo.push_back(offset);
+      return node(node_id).gpa_base() + offset;
     }
   }
   return std::nullopt;
+}
+
+void GuestKernel::ReleaseStorage() {
+  DEMETER_CHECK_EQ(mapped_pages_, 0u) << "releasing a guest kernel that still maps pages";
+  for (std::vector<uint64_t>& slots : rmap_) {
+    std::vector<uint64_t>().swap(slots);
+  }
+  for (std::deque<uint32_t>& fifo : alloc_fifo_) {
+    std::deque<uint32_t>().swap(fifo);
+  }
+  for (const std::unique_ptr<GuestProcess>& process : processes_) {
+    process->gpt().ReleaseStorage();
+  }
 }
 
 double GuestKernel::OnContextSwitch(int vcpu, Nanos now) {

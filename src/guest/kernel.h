@@ -118,12 +118,20 @@ class GuestKernel {
   // Total pages currently mapped by any process (== rmap entries).
   uint64_t mapped_pages() const { return mapped_pages_; }
 
+  // Frees the rmap arrays, the allocation FIFOs and every process's GPT
+  // nodes once the VM has left its host and maps nothing. Rmap and
+  // PickVictim then return nullopt, as they did on the emptied kernel; the
+  // nodes, processes and stats stay.
+  void ReleaseStorage();
+
  private:
   // A reverse-map slot packs (pid << kRmapVpnBits) | vpn; 0 is a free gPA,
   // since pids start at 1.
   static constexpr int kRmapVpnBits = PageTable::kLevels * PageTable::kBitsPerLevel;
 
   void RecordAlloc(PageNum gpa, int pid, PageNum vpn);
+  // Appends `gpa` to its node's allocation FIFO.
+  void PushAllocated(PageNum gpa);
   // Slot of `gpa` in its node's reverse map, or nullptr past its end.
   const uint64_t* RmapSlot(PageNum gpa) const;
   // Writes a slot, growing its node's reverse map to reach `gpa`.
@@ -137,8 +145,9 @@ class GuestKernel {
   // doubles up to the node's span).
   std::vector<std::vector<uint64_t>> rmap_;
   uint64_t mapped_pages_ = 0;
-  // Per-node allocation FIFO for victim selection; lazily pruned.
-  std::vector<std::deque<PageNum>> alloc_fifo_;
+  // Per-node allocation FIFO for victim selection, as 32-bit offsets in
+  // the node (NumaNode bounds a span to 2^32 pages); lazily pruned.
+  std::vector<std::deque<uint32_t>> alloc_fifo_;
   std::vector<CtxHook> ctx_hooks_;
   FaultInjector* fault_ = nullptr;
   int vm_id_ = 0;

@@ -20,7 +20,8 @@ namespace demeter {
 
 class NumaNode {
  public:
-  // `span_pages`: size of the node's gPA window (the balloon maximum).
+  // `span_pages`: size of the node's gPA window (the balloon maximum), at
+  // most 2^32 pages so that a page's offset in the node fits 32 bits.
   // `present_pages`: pages initially usable (the rest start ballooned out).
   // A non-zero `shuffle_seed` randomizes the free-list order, modelling the
   // fragmentation of a previously used kernel allocator — the reason
@@ -65,7 +66,7 @@ class NumaNode {
   uint64_t span_pages_;
   uint64_t present_pages_;
   uint64_t initial_present_pages_;
-  std::vector<PageNum> free_list_;  // LIFO.
+  std::vector<uint32_t> free_list_;  // LIFO of offsets from gpa_base_.
 };
 
 }  // namespace demeter

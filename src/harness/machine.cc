@@ -293,6 +293,7 @@ Hypervisor::ReclaimResult Machine::TearDownVm(int i, Nanos now) {
   }
   machine_vm.set_departed(true);
   const Hypervisor::ReclaimResult reclaimed = hyper_->ReclaimVm(machine_vm);
+  machine_vm.ReleaseStorage();
   rt.finished = true;  // A departed VM never runs again.
   rt.lifecycle.depart_ns = now;
   rt.lifecycle.reclaimed_gpt_pages += reclaimed.gpt_unmapped;

@@ -177,9 +177,11 @@ class Machine {
   // Tears down a running (or finished) VM mid-run at virtual time `now`:
   // stops its policy, marks the Vm departed, reclaims every resource it
   // holds (GPT mappings, guest pages, EPT backings, TLB entries) through
-  // Hypervisor::ReclaimVm, and audits invariants. The Vm object itself
+  // Hypervisor::ReclaimVm, frees the storage those structures held
+  // (Vm::ReleaseStorage), and audits invariants. The Vm object itself
   // stays alive — late events (balloon completions, policy timers) must
-  // land on valid memory — but holds nothing.
+  // land on valid memory, and its counters stay readable — but holds
+  // nothing.
   void RemoveVm(int i, Nanos now);
 
   // Fail-stop teardown of a running VM at `now` (its host died): every
@@ -323,8 +325,9 @@ class Machine {
   // built from its setup) at virtual time `at`.
   void AttachPolicy(int i, Nanos at);
   // Stops VM i's policy, marks it departed, reclaims everything it holds
-  // here and takes it out of the main loop at `now`. Returns what was
-  // reclaimed; the caller counts why the VM left.
+  // here, frees the emptied structures' storage and takes it out of the
+  // main loop at `now`. Returns what was reclaimed; the caller counts why
+  // the VM left.
   Hypervisor::ReclaimResult TearDownVm(int i, Nanos now);
 
   void MaybeAuditInvariants(const char* where);

@@ -145,7 +145,8 @@ class Hypervisor {
   // Releases every resource a departing VM holds: all process GPT mappings
   // and guest-physical pages (rmap drains to empty), every EPT backing
   // (frames return to their tiers), and one full TLB invalidation per vCPU
-  // so no stale translation for the departed address space survives.
+  // so no stale translation for the departed address space survives. The
+  // emptied structures keep their storage until Vm::ReleaseStorage.
   struct ReclaimResult {
     uint64_t gpt_unmapped = 0;
     uint64_t gpa_freed = 0;

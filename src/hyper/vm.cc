@@ -257,6 +257,16 @@ void Vm::FullFlushAll() {
   }
 }
 
+void Vm::ReleaseStorage() {
+  DEMETER_CHECK(departed_) << "vm " << id() << " released while on its host";
+  for (auto& v : vcpus_) {
+    v->tlb.ReleaseStorage();
+    v->pebs->ReleaseStorage();
+  }
+  ept_.ReleaseStorage();
+  kernel_->ReleaseStorage();
+}
+
 TlbStats Vm::AggregateTlbStats() const {
   TlbStats total;
   for (const auto& v : vcpus_) {

@@ -142,6 +142,14 @@ class Vm {
   bool departed() const { return departed_; }
   void set_departed(bool departed) { departed_ = departed; }
 
+  // Frees what a departed VM's structures still hold once
+  // Hypervisor::ReclaimVm has emptied them: every vCPU's TLB arrays and
+  // PEBS buffer, the EPT's and every GPT's nodes below the root, and the
+  // guest rmap arrays and allocation FIFOs. Each structure answers later
+  // calls as the emptied one did, and every counter the metrics read and
+  // every value the invariant checker audits stays.
+  void ReleaseStorage();
+
   // Executes one memory access by `vcpu_id` in `process` at address `gva`.
   // Handles guest and EPT faults inline. The caller advances the vCPU clock
   // by the returned cost.

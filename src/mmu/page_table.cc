@@ -72,6 +72,16 @@ uint64_t* PageTable::FindOrCreateEntry(PageNum vpn) {
   return &node->entries[static_cast<size_t>(IndexAt(vpn, kLevels - 1))];
 }
 
+void PageTable::ReleaseStorage() {
+  DEMETER_CHECK_EQ(mapped_count_, 0u) << "releasing a page table that still maps pages";
+  nodes_.resize(1);
+  nodes_.shrink_to_fit();
+  root()->entries.fill(0);
+  leaf_nodes_ = 0;
+  std::vector<LeafCacheSlot>(1).swap(leaf_cache_);
+  leaf_cache_mask_ = 0;
+}
+
 bool PageTable::Map(PageNum vpn, uint64_t target, bool writable) {
   DEMETER_CHECK_LT(vpn, kMaxPage);
   uint64_t* pte = FindOrCreateEntry(vpn);

@@ -123,6 +123,12 @@ class PageTable {
 
   uint64_t mapped_count() const { return mapped_count_; }
 
+  // Frees every node below the root of a table that maps nothing (its VM
+  // has left the host) and shrinks the leaf cache to one slot. Later calls
+  // find nothing, as on the emptied table; the remap counters keep their
+  // values.
+  void ReleaseStorage();
+
   // ---- Audit hooks (InvariantChecker) -------------------------------------
   // Remaps performed, and remaps that dropped a set Dirty bit. The second
   // counter is the cross-layer invariant "migration never loses dirty
@@ -148,9 +154,8 @@ class PageTable {
   // Memoized descent: maps vpn's leaf-node tag (vpn >> kBitsPerLevel) to the
   // leaf Node* so hot regions skip the 3-level pointer chase. Entries are
   // validated against structure_epoch_, which bumps whenever the radix tree
-  // allocates a node (the only structural change today — nodes are never
-  // freed, so cached pointers cannot dangle; the epoch additionally protects
-  // any future reclamation path). Only successful full descents are cached,
+  // allocates a node; ReleaseStorage, which frees nodes, replaces the cache
+  // with one empty slot. Only successful full descents are cached,
   // so cost accounting (levels_touched) is byte-identical: a cached leaf
   // means the uncached walk would have touched exactly kLevels entries.
   //
@@ -192,8 +197,9 @@ class PageTable {
   uint64_t VisitRange(Node* node, int level, PageNum node_base, PageNum begin, PageNum end,
                       const Fn& fn) const;
 
-  // Owns every node; the root is first. Nodes are never freed before the
-  // table, so the addresses held in entries and the leaf cache stay valid.
+  // Owns every node; the root is first. Nodes are freed only by
+  // ReleaseStorage, which clears the root and empties the leaf cache, so no
+  // entry or cached leaf can reach a freed node.
   std::vector<std::unique_ptr<Node>> nodes_;
   uint64_t mapped_count_ = 0;
   uint64_t leaf_nodes_ = 0;

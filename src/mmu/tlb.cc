@@ -23,6 +23,13 @@ Tlb::Tlb(int num_sets, int ways) : num_sets_(num_sets), ways_(ways) {
   order_.assign(static_cast<size_t>(num_sets), order);
 }
 
+void Tlb::ReleaseStorage() {
+  set_magic_ = 0;
+  std::vector<uint64_t>(static_cast<size_t>(ways_), 0).swap(tags_);
+  std::vector<uint32_t>(static_cast<size_t>(ways_), 0).swap(frames_);
+  std::vector<uint32_t>(1, order_[0]).swap(order_);
+}
+
 void Tlb::InvalidateAll() {
   ++stats_.full_flushes;
   // Epoch bump: every existing entry becomes stale without being touched.

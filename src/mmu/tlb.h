@@ -185,6 +185,13 @@ class Tlb {
 
   int capacity() const { return num_sets_ * ways_; }
 
+  // Frees the arrays of a TLB whose VM has left its host, keeping one set
+  // of never-valid tags: SetOf then maps every page to that set, so every
+  // probe misses with no branch added to Lookup or Insert. Stats, the
+  // epoch, the cold-walk budget and capacity() are unchanged, so flushes
+  // still count and ForEachValid visits nothing, as after InvalidateAll.
+  void ReleaseStorage();
+
  private:
   static constexpr uint64_t kVpnMask = (uint64_t{1} << kVpnBits) - 1;
 
@@ -220,7 +227,9 @@ class Tlb {
 
   int num_sets_;
   int ways_;
-  uint64_t set_magic_ = 0;  // UINT64_MAX / num_sets_ + 1: SetOf's fastmod inverse.
+  // UINT64_MAX / num_sets_ + 1: SetOf's fastmod inverse. 0 sends every page
+  // to set 0 (one set, or a released TLB).
+  uint64_t set_magic_ = 0;
   std::vector<uint64_t> tags_;  // epoch << kVpnBits | vpn; 0 = never valid.
   std::vector<uint32_t> frames_;  // Frame ids, all below kMaxFrames.
   std::vector<uint32_t> order_;  // Per set: ways most-recent-first, 4 bits each.

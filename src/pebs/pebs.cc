@@ -9,7 +9,6 @@ namespace demeter {
 PebsUnit::PebsUnit(const PebsConfig& config) : config_(config), countdown_(config.sample_period) {
   DEMETER_CHECK_GT(config.sample_period, 0u);
   DEMETER_CHECK_GT(config.buffer_capacity, 0u);
-  buffer_.reserve(config.buffer_capacity);
 }
 
 double PebsUnit::OnSampledEvent(uint64_t gva, double latency_ns, Nanos now) {
@@ -24,6 +23,11 @@ double PebsUnit::OnSampledEvent(uint64_t gva, double latency_ns, Nanos now) {
     return 0.0;
   }
 
+  // The buffer is reserved by the first record after construction or a
+  // drain, so a unit that never samples (TPP, TPP-H) holds none.
+  if (buffer_.empty()) {
+    buffer_.reserve(config_.buffer_capacity);
+  }
   // is_store is always false here: stores never reach the sampled path.
   buffer_.push_back(PebsRecord{gva, latency_ns, /*is_store=*/false, now});
   ++stats_.records_written;
@@ -41,7 +45,6 @@ double PebsUnit::OnSampledEvent(uint64_t gva, double latency_ns, Nanos now) {
   if (pmi_handler_) {
     std::vector<PebsRecord> drained;
     drained.swap(buffer_);
-    buffer_.reserve(config_.buffer_capacity);
     pmi_handler_(std::move(drained), now);
   } else {
     stats_.records_dropped += buffer_.size();
@@ -52,8 +55,9 @@ double PebsUnit::OnSampledEvent(uint64_t gva, double latency_ns, Nanos now) {
 
 std::vector<PebsRecord> PebsUnit::Drain() {
   std::vector<PebsRecord> drained;
-  drained.swap(buffer_);
-  buffer_.reserve(config_.buffer_capacity);
+  if (!buffer_.empty()) {
+    drained.swap(buffer_);
+  }
   return drained;
 }
 

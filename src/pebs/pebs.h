@@ -111,6 +111,15 @@ class PebsUnit {
   std::vector<PebsRecord> Drain();
 
   size_t buffered() const { return buffer_.size(); }
+  // Records the buffer has room for without growing: 0 until the unit's
+  // first record (units that never sample hold no buffer), then
+  // config().buffer_capacity until a drain or PMI hands the records out
+  // with their buffer.
+  size_t reserved() const { return buffer_.capacity(); }
+
+  // Frees the sample buffer of a unit whose VM has left its host; records
+  // still buffered are discarded uncounted. The counters keep their values.
+  void ReleaseStorage() { std::vector<PebsRecord>().swap(buffer_); }
   const PebsConfig& config() const { return config_; }
   const Stats& stats() const { return stats_; }
 

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <iterator>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -86,6 +88,133 @@ TEST(NumaNode, Watermarks) {
   }
   EXPECT_TRUE(node.BelowLow());
   EXPECT_FALSE(node.BelowMin());
+}
+
+TEST(NumaNode, SpanBeyond32BitOffsetsAborts) {
+  // A span of exactly 2^32 pages still has 32-bit offsets; one page more
+  // does not, and the node refuses it before allocating anything.
+  NumaNode widest(0, uint64_t{3} << 40, uint64_t{1} << 32, 0);
+  EXPECT_EQ(widest.gpa_end(), (uint64_t{3} << 40) + (uint64_t{1} << 32));
+  EXPECT_DEATH(NumaNode(1, 0, (uint64_t{1} << 32) + 1, 0), "offsets must fit 32 bits");
+}
+
+// NumaNode as it stood with 64-bit free-list entries: every present gPA
+// pushed high to low, then shuffled with the node's seed.
+class ReferenceNode64 {
+ public:
+  ReferenceNode64(int id, PageNum gpa_base, uint64_t present_pages, uint64_t shuffle_seed)
+      : present_pages_(present_pages) {
+    for (uint64_t i = present_pages; i > 0; --i) {
+      free_list_.push_back(gpa_base + i - 1);
+    }
+    if (shuffle_seed != 0 && present_pages > 1) {
+      Rng rng(shuffle_seed + static_cast<uint64_t>(id));
+      for (uint64_t i = present_pages - 1; i > 0; --i) {
+        std::swap(free_list_[i], free_list_[rng.NextBelow(i + 1)]);
+      }
+    }
+  }
+
+  std::optional<PageNum> AllocPage() {
+    if (free_list_.empty()) {
+      return std::nullopt;
+    }
+    const PageNum gpa = free_list_.back();
+    free_list_.pop_back();
+    return gpa;
+  }
+  void FreePage(PageNum gpa) { free_list_.push_back(gpa); }
+  uint64_t BalloonTake(uint64_t n, std::vector<PageNum>* taken) {
+    const uint64_t count = std::min<uint64_t>(n, free_list_.size());
+    for (uint64_t i = 0; i < count; ++i) {
+      taken->push_back(free_list_.back());
+      free_list_.pop_back();
+    }
+    present_pages_ -= count;
+    return count;
+  }
+  void BalloonReturn(const std::vector<PageNum>& pages) {
+    free_list_.insert(free_list_.end(), pages.begin(), pages.end());
+    present_pages_ += pages.size();
+  }
+
+  uint64_t free_pages() const { return free_list_.size(); }
+  uint64_t present_pages() const { return present_pages_; }
+
+ private:
+  uint64_t present_pages_;
+  std::vector<PageNum> free_list_;
+};
+
+// A seeded stream of allocations, frees, balloon takes and returns drives a
+// node whose base lies above 2^32 and the 64-bit reference in lockstep:
+// the shuffle and every page handed out must match.
+TEST(NumaNode, OffsetFreeListMatches64BitReference) {
+  constexpr PageNum kBase = (uint64_t{5} << 32) + 777;
+  constexpr uint64_t kSpan = 3000;
+  constexpr uint64_t kPresent = 2000;
+  constexpr uint64_t kSeed = 0x5eed + 17;
+  NumaNode node(1, kBase, kSpan, kPresent, kSeed);
+  ReferenceNode64 ref(1, kBase, kPresent, kSeed);
+  std::vector<PageNum> used;
+  std::vector<PageNum> ballooned;
+  Rng rng(0x77);
+  int takes = 0;
+  int returns = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const uint64_t kind = rng.NextBelow(100);
+    if (kind < 45) {
+      const std::optional<PageNum> got = node.AllocPage();
+      ASSERT_EQ(got, ref.AllocPage()) << "op " << op;
+      if (got.has_value()) {
+        ASSERT_TRUE(node.ContainsGpa(*got));
+        used.push_back(*got);
+      }
+    } else if (kind < 85) {
+      if (used.empty()) {
+        continue;
+      }
+      const size_t pick = rng.NextBelow(used.size());
+      const PageNum gpa = used[pick];
+      used[pick] = used.back();
+      used.pop_back();
+      node.FreePage(gpa);
+      ref.FreePage(gpa);
+    } else if (kind < 93) {
+      const uint64_t n = rng.NextBelow(64);
+      std::vector<PageNum> got;
+      std::vector<PageNum> want;
+      ASSERT_EQ(node.BalloonTake(n, &got), ref.BalloonTake(n, &want)) << "op " << op;
+      ASSERT_EQ(got, want) << "op " << op;
+      ballooned.insert(ballooned.end(), got.begin(), got.end());
+      takes += got.empty() ? 0 : 1;
+    } else {
+      // Return a random run of held pages, in a shuffled order.
+      const size_t n = std::min<size_t>(ballooned.size(), rng.NextBelow(48));
+      std::vector<PageNum> pages;
+      for (size_t i = 0; i < n; ++i) {
+        const size_t pick = rng.NextBelow(ballooned.size());
+        pages.push_back(ballooned[pick]);
+        ballooned[pick] = ballooned.back();
+        ballooned.pop_back();
+      }
+      node.BalloonReturn(pages);
+      ref.BalloonReturn(pages);
+      returns += pages.empty() ? 0 : 1;
+    }
+    ASSERT_EQ(node.free_pages(), ref.free_pages()) << "op " << op;
+    ASSERT_EQ(node.present_pages(), ref.present_pages()) << "op " << op;
+  }
+  EXPECT_GT(takes, 100);
+  EXPECT_GT(returns, 100);
+  // Drain both: the remaining order matches page for page.
+  while (true) {
+    const std::optional<PageNum> got = node.AllocPage();
+    ASSERT_EQ(got, ref.AllocPage());
+    if (!got.has_value()) {
+      break;
+    }
+  }
 }
 
 // ---- AddressSpace ----------------------------------------------------------
@@ -436,6 +565,115 @@ TEST(GuestKernel, FlatRmapMatchesMapReference) {
   EXPECT_GT(victims, 500);
   EXPECT_GT(moves, 100);
   EXPECT_GT(swaps, 100);
+  EXPECT_GT(kernel.stats().oom_failures, 0u) << "the nodes never ran dry";
+}
+
+// The guest kernel's 32-bit free lists and allocation FIFOs against the
+// 64-bit transcriptions above: faults, moves and frees through the kernel,
+// balloon takes and returns on its nodes, and victim picks must hand out
+// the same gPAs in the same order.
+TEST(GuestKernel, OffsetListsMatch64BitReference) {
+  GuestKernelConfig config = SmallKernelConfig(160, 320);
+  config.node_span_pages = {480, 480};
+  config.free_list_shuffle_seed = 23;
+  GuestKernel kernel(config);
+  std::vector<ReferenceNode64> nodes;
+  for (int n = 0; n < 2; ++n) {
+    nodes.emplace_back(n, kernel.node(n).gpa_base(),
+                       config.node_present_pages[static_cast<size_t>(n)],
+                       config.free_list_shuffle_seed);
+  }
+  // The 64-bit AllocGpa: the preferred node, then the others in id order.
+  auto ref_alloc = [&](int preferred, bool fallback) -> std::optional<PageNum> {
+    if (auto gpa = nodes[static_cast<size_t>(preferred)].AllocPage()) {
+      return gpa;
+    }
+    for (int n = 0; fallback && n < 2; ++n) {
+      if (n == preferred) {
+        continue;
+      }
+      if (auto gpa = nodes[static_cast<size_t>(n)].AllocPage()) {
+        return gpa;
+      }
+    }
+    return std::nullopt;
+  };
+  ReferenceRmap ref(kernel);
+  GuestProcess& proc = kernel.CreateProcess();
+  std::vector<std::pair<PageNum, PageNum>> mapped;  // (vpn, gpa)
+  std::vector<std::vector<PageNum>> ballooned(2);
+  PageNum next_vpn = 1;
+  Rng rng(0x3217);
+  double cost = 0.0;
+  int victims = 0;
+  for (int op = 0; op < 12000; ++op) {
+    const std::string at = "op " + std::to_string(op);
+    const uint64_t kind = rng.NextBelow(100);
+    if (kind < 35) {
+      const PageNum vpn = next_vpn++;
+      const std::optional<PageNum> gpa = kernel.HandleFault(proc, vpn, &cost);
+      ASSERT_EQ(gpa, ref_alloc(0, true)) << at;
+      if (gpa.has_value()) {
+        ref.Record(*gpa, proc.pid(), vpn);
+        mapped.emplace_back(vpn, *gpa);
+      }
+    } else if (kind < 50 && !mapped.empty()) {
+      const size_t pick = rng.NextBelow(mapped.size());
+      auto& [vpn, old_gpa] = mapped[pick];
+      const int dst = 1 - kernel.NodeOfGpa(old_gpa);
+      const std::optional<PageNum> new_gpa = kernel.AllocGpa(dst, false, &cost);
+      ASSERT_EQ(new_gpa, ref_alloc(dst, false)) << at;
+      if (!new_gpa.has_value()) {
+        continue;
+      }
+      ASSERT_TRUE(proc.gpt().Remap(vpn, *new_gpa));
+      kernel.OnPageMoved(old_gpa, *new_gpa);
+      kernel.FreeGpa(old_gpa);
+      ref.Moved(old_gpa, *new_gpa);
+      nodes[static_cast<size_t>(kernel.NodeOfGpa(old_gpa))].FreePage(old_gpa);
+      old_gpa = *new_gpa;
+    } else if (kind < 65 && !mapped.empty()) {
+      const size_t pick = rng.NextBelow(mapped.size());
+      const auto [vpn, gpa] = mapped[pick];
+      mapped[pick] = mapped.back();
+      mapped.pop_back();
+      ASSERT_EQ(proc.gpt().Unmap(vpn), gpa);
+      kernel.FreeGpa(gpa);
+      ref.Freed(gpa);
+      nodes[static_cast<size_t>(kernel.NodeOfGpa(gpa))].FreePage(gpa);
+    } else if (kind < 72) {
+      const int n = static_cast<int>(rng.NextBelow(2));
+      const uint64_t count = rng.NextBelow(24);
+      std::vector<PageNum> got;
+      std::vector<PageNum> want;
+      ASSERT_EQ(kernel.node(n).BalloonTake(count, &got),
+                nodes[static_cast<size_t>(n)].BalloonTake(count, &want))
+          << at;
+      ASSERT_EQ(got, want) << at;
+      ballooned[static_cast<size_t>(n)].insert(ballooned[static_cast<size_t>(n)].end(),
+                                               got.begin(), got.end());
+    } else if (kind < 79) {
+      const int n = static_cast<int>(rng.NextBelow(2));
+      std::vector<PageNum>& held = ballooned[static_cast<size_t>(n)];
+      const size_t count = std::min<size_t>(held.size(), rng.NextBelow(24));
+      const std::vector<PageNum> pages(held.end() - static_cast<long>(count), held.end());
+      held.resize(held.size() - count);
+      kernel.node(n).BalloonReturn(pages);
+      nodes[static_cast<size_t>(n)].BalloonReturn(pages);
+    } else {
+      const int n = static_cast<int>(rng.NextBelow(2));
+      const std::optional<PageNum> victim = kernel.PickVictim(n);
+      ASSERT_EQ(victim, ref.PickVictim(n)) << at << ": PickVictim(" << n << ")";
+      victims += victim.has_value() ? 1 : 0;
+    }
+    for (int n = 0; n < 2; ++n) {
+      ASSERT_EQ(kernel.node(n).free_pages(), nodes[static_cast<size_t>(n)].free_pages()) << at;
+      ASSERT_EQ(kernel.node(n).present_pages(), nodes[static_cast<size_t>(n)].present_pages())
+          << at;
+    }
+  }
+  EXPECT_GT(victims, 1000);
+  EXPECT_GT(kernel.stats().fallback_allocs, 0u);
   EXPECT_GT(kernel.stats().oom_failures, 0u) << "the nodes never ran dry";
 }
 

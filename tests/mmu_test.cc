@@ -243,6 +243,50 @@ TEST(PageTable, ForEachPresentVisitsRange) {
   EXPECT_EQ(seen.back(), 19u);
 }
 
+// A released page table (its VM left the host) finds nothing, as the
+// emptied one did, keeps its remap counters, and can map again.
+TEST(PageTable, ReleasedTableFindsNothingAndKeepsCounters) {
+  PageTable pt;
+  for (PageNum p = 0; p < 2048; p += 3) {
+    ASSERT_TRUE(pt.Map(p, p + 7, true));
+  }
+  ASSERT_TRUE(pt.Map(PageTable::kMaxPage - 1, 5, true));
+  ASSERT_TRUE(pt.Remap(3, 99));
+  ASSERT_TRUE(pt.Translate(3, /*is_write=*/true, /*set_bits=*/true).present);  // Warm cache.
+  std::vector<PageNum> mapped;
+  pt.ForEachPresent(0, PageTable::kMaxPage,
+                    [&](PageNum vpn, uint64_t, bool, bool) { mapped.push_back(vpn); });
+  for (PageNum vpn : mapped) {
+    pt.Unmap(vpn);
+  }
+  ASSERT_EQ(pt.mapped_count(), 0u);
+  pt.ReleaseStorage();
+  EXPECT_EQ(pt.remap_count(), 1u);
+  EXPECT_EQ(pt.remap_dirty_lost(), 0u);
+  for (PageNum vpn : mapped) {
+    ASSERT_FALSE(pt.Lookup(vpn).present) << "vpn " << vpn;
+    ASSERT_FALSE(pt.Translate(vpn, false, true).present) << "vpn " << vpn;
+    ASSERT_FALSE(pt.TestAndClearAccessed(vpn));
+  }
+  int visited = 0;
+  pt.ForEachPresent(0, PageTable::kMaxPage, [&](PageNum, uint64_t, bool, bool) { ++visited; });
+  pt.ScanAndClearAccessed(0, PageTable::kMaxPage,
+                          [&](PageNum, uint64_t, bool, bool) { ++visited; });
+  EXPECT_EQ(visited, 0);
+  EXPECT_FALSE(pt.Remap(3, 100));
+  EXPECT_EQ(pt.remap_count(), 1u);
+  // Nothing stale survives in the walk cache: a fresh mapping translates.
+  ASSERT_TRUE(pt.Map(3, 11, true));
+  EXPECT_EQ(pt.Translate(3, false, true).target, 11u);
+  EXPECT_EQ(pt.Lookup(3).target, 11u);
+}
+
+TEST(PageTable, ReleasingAMappedTableAborts) {
+  PageTable pt;
+  pt.Map(1, 1, true);
+  EXPECT_DEATH(pt.ReleaseStorage(), "still maps pages");
+}
+
 TEST(PageTable, ForEachPresentRespectsBounds) {
   PageTable pt;
   for (PageNum p = 0; p < 100; ++p) {
@@ -626,6 +670,45 @@ TEST(Tlb, InvalidateAllHidesEntriesFromForEachValid) {
   int visited = 0;
   tlb.ForEachValid([&](PageNum, FrameId) { ++visited; });
   EXPECT_EQ(visited, 0) << "stale-epoch entries leaked into an audit walk";
+}
+
+// A released TLB (its VM left the host) answers as the flushed one did:
+// every probe misses and counts, flushes count, audits see nothing, and the
+// geometry-derived cold-walk budget is unchanged.
+TEST(Tlb, ReleasedTlbAnswersAsTheFlushedOne) {
+  Tlb tlb;
+  for (PageNum p = 0; p < 4096; ++p) {
+    tlb.Insert(p, static_cast<FrameId>(p + 1));
+  }
+  tlb.InvalidateAll();
+  const TlbStats before = tlb.stats();
+  tlb.ReleaseStorage();
+  EXPECT_EQ(tlb.capacity(), 1024 * 8);
+  for (PageNum p = 0; p < 4096; ++p) {
+    ASSERT_EQ(tlb.Lookup(p), kInvalidFrame) << "vpn " << p;
+  }
+  EXPECT_EQ(tlb.Lookup(PageTable::kMaxPage - 1), kInvalidFrame);
+  EXPECT_EQ(tlb.stats().misses, before.misses + 4097);
+  EXPECT_EQ(tlb.stats().hits, before.hits);
+  tlb.InvalidatePage(7);
+  tlb.InvalidateAll();
+  EXPECT_EQ(tlb.stats().single_flushes, before.single_flushes + 1);
+  EXPECT_EQ(tlb.stats().full_flushes, before.full_flushes + 1);
+  int visited = 0;
+  tlb.ForEachValid([&](PageNum, FrameId) { ++visited; });
+  EXPECT_EQ(visited, 0);
+  int cold = 0;
+  while (tlb.ConsumeWalkFactor() > 1.0) {
+    ++cold;
+  }
+  EXPECT_EQ(cold, tlb.capacity()) << "the flush after release re-arms a full cold-walk window";
+  // What is left is one set: of 100 pages inserted, the last eight stay.
+  for (PageNum p = 0; p < 100; ++p) {
+    tlb.Insert(p, static_cast<FrameId>(p + 1));
+  }
+  for (PageNum p = 0; p < 100; ++p) {
+    EXPECT_EQ(tlb.Lookup(p), p < 92 ? kInvalidFrame : static_cast<FrameId>(p + 1)) << "vpn " << p;
+  }
 }
 
 TEST(Tlb, ReinsertAfterInvalidateAllDoesNotResurrectNeighbors) {

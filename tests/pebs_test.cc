@@ -84,6 +84,49 @@ TEST(Pebs, DrainEmptiesBuffer) {
   EXPECT_TRUE(unit.Drain().empty());
 }
 
+// The buffer is reserved at the first record, not at construction, so a
+// unit that never samples holds none; a drain hands it out with the records.
+TEST(Pebs, BufferReservedAtFirstRecord) {
+  PebsUnit unit(SmallConfig());
+  EXPECT_EQ(unit.reserved(), 0u);
+  unit.set_enabled(true);
+  for (int i = 0; i < 9; ++i) {
+    unit.OnAccess(0x1000, 200.0, false, 0);
+  }
+  EXPECT_EQ(unit.reserved(), 0u) << "no record yet";
+  unit.OnAccess(0x1000, 200.0, false, 0);
+  EXPECT_EQ(unit.buffered(), 1u);
+  EXPECT_EQ(unit.reserved(), SmallConfig().buffer_capacity);
+  EXPECT_EQ(unit.Drain().size(), 1u);
+  EXPECT_EQ(unit.reserved(), 0u);
+  for (int i = 0; i < 10; ++i) {
+    unit.OnAccess(0x1000, 200.0, false, 0);
+  }
+  EXPECT_EQ(unit.Drain().size(), 1u);
+  for (int i = 0; i < 10; ++i) {
+    unit.OnAccess(0x1000, 10.0, false, 0);  // Below the threshold: no record.
+  }
+  EXPECT_EQ(unit.reserved(), 0u);
+}
+
+TEST(Pebs, ReleaseFreesTheBufferAndKeepsCounters) {
+  PebsUnit unit(SmallConfig());
+  unit.set_enabled(true);
+  for (int i = 0; i < 20; ++i) {
+    unit.OnAccess(0x1000, 200.0, false, 0);
+  }
+  ASSERT_EQ(unit.buffered(), 2u);
+  const PebsUnit::Stats before = unit.stats();
+  unit.ReleaseStorage();
+  EXPECT_EQ(unit.buffered(), 0u);
+  EXPECT_EQ(unit.reserved(), 0u);
+  EXPECT_TRUE(unit.Drain().empty());
+  EXPECT_EQ(unit.stats().events_counted, before.events_counted);
+  EXPECT_EQ(unit.stats().records_written, before.records_written);
+  EXPECT_EQ(unit.stats().records_dropped, before.records_dropped);
+  EXPECT_EQ(unit.stats().pmis, before.pmis);
+}
+
 TEST(Pebs, PmiFiresOnBufferFullAndChargesCost) {
   PebsUnit unit(SmallConfig());
   unit.set_enabled(true);
